@@ -59,13 +59,16 @@
 //!   baseline. With full support it *delegates verbatim* to
 //!   [`VlpInstance::solve`], making "radius ∞ ≡ full-shard solve" true
 //!   by construction.
-//! * [`LocalShard`] — the sparse engine the serving layer boots on
-//!   large maps: it never materializes an `O(K²)` matrix, computing
-//!   per-neighborhood costs and constraints with radius-bounded and
-//!   target-terminated Dijkstra runs whose settled distances are
-//!   bit-identical prefixes of the dense builds.
+//! * [`LocalShard`] — the engine the serving layer boots every shard
+//!   on: partial-support neighborhoods never materialize an `O(K²)`
+//!   matrix, computing per-neighborhood costs and constraints with
+//!   radius-bounded and target-terminated Dijkstra runs whose settled
+//!   distances are bit-identical prefixes of the dense builds; a
+//!   neighborhood spanning the whole shard (always the case at
+//!   `rho = ∞`, the full-shard plan) is served by a dense
+//!   [`VlpInstance`] built at construction.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use roadnet::distance::{travel_distance_via, NodeMetric};
 use roadnet::{bounded_ball, distances_to_targets, BallMetric, NodeId, RoadGraph};
@@ -438,14 +441,16 @@ impl SparseNodeDists {
     }
 }
 
-/// The sparse locally-relevant solve engine: everything the serving
-/// layer needs to serve a shard in local mode *without ever building an
-/// `O(K²)` matrix*. Boot cost is `O(K)` plus one bounded Dijkstra ball
-/// per ρ-net center; each solve touches only its neighborhood.
+/// The shard solve engine: everything the serving layer needs to serve
+/// one shard. Partial-support neighborhoods are solved *without ever
+/// building an `O(K²)` matrix* — boot cost is `O(K)` plus one bounded
+/// Dijkstra ball per ρ-net center, and each solve touches only its
+/// neighborhood.
 ///
-/// The full-support case (one neighborhood spanning the shard, e.g.
-/// `rho = ∞`) lazily builds a dense [`VlpInstance`] and delegates to
-/// it, so the radius-∞ mode is bit-identical to full-shard serving.
+/// A neighborhood spanning the whole shard (the single neighborhood of
+/// a `rho = ∞` plan) delegates to a dense [`VlpInstance`] built at
+/// construction, so full-shard serving is the `rho = ∞` plan, bit for
+/// bit.
 #[derive(Debug, Clone)]
 pub struct LocalShard {
     graph: RoadGraph,
@@ -454,9 +459,9 @@ pub struct LocalShard {
     f_p: Prior,
     f_q: Prior,
     plan: LocalityPlan,
-    delta: f64,
-    /// Lazily built dense instance backing full-support delegation.
-    dense: OnceLock<Arc<VlpInstance>>,
+    /// The dense instance backing full-support neighborhoods; present
+    /// iff the plan has one.
+    dense: Option<Arc<VlpInstance>>,
 }
 
 impl LocalShard {
@@ -487,6 +492,18 @@ impl LocalShard {
         assert_eq!(f_q.len(), disc.len(), "f_Q dimension mismatch");
         let aux_graph = aux_road_graph(&graph, &disc);
         let plan = LocalityPlan::build(&aux_graph, rho, protection);
+        let full_support = plan
+            .neighborhoods()
+            .iter()
+            .any(|hood| hood.members.len() == disc.len());
+        let dense = full_support.then(|| {
+            Arc::new(VlpInstance::new(
+                graph.clone(),
+                delta,
+                f_p.clone(),
+                f_q.clone(),
+            ))
+        });
         Self {
             graph,
             disc,
@@ -494,8 +511,7 @@ impl LocalShard {
             f_p,
             f_q,
             plan,
-            delta,
-            dense: OnceLock::new(),
+            dense,
         }
     }
 
@@ -542,24 +558,39 @@ impl LocalShard {
         &self.plan.neighborhood(nb).members
     }
 
-    /// Replaces the worker prior `f_P`. Costs are built per solve from
-    /// the raw priors, so this is `O(1)` apart from resetting the lazy
-    /// dense instance.
+    /// Replaces the worker prior `f_P`. Partial-support costs are built
+    /// per solve from the raw priors; the dense instance, if any, is
+    /// cloned with only its cost matrix rebuilt
+    /// ([`VlpInstance::set_worker_prior`]) — distances and the
+    /// auxiliary graph are prior-free.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn set_worker_prior(&mut self, f_p: Prior) {
         assert_eq!(f_p.len(), self.disc.len(), "f_P dimension mismatch");
+        if let Some(dense) = &mut self.dense {
+            let mut inst = (**dense).clone();
+            inst.set_worker_prior(f_p.clone());
+            *dense = Arc::new(inst);
+        }
         self.f_p = f_p;
-        self.dense = OnceLock::new();
     }
 
-    /// The lazily built dense instance backing full-support delegation
-    /// (crate-visible so the quality tiers in [`crate::tiers`] share
-    /// it).
-    pub(crate) fn dense(&self) -> &Arc<VlpInstance> {
-        self.dense_instance()
+    /// The dense instance backing full-support neighborhoods: `Some`
+    /// iff some neighborhood spans the whole shard — always at
+    /// `rho = ∞`, where it is exactly the full-shard instance.
+    pub fn dense(&self) -> Option<&Arc<VlpInstance>> {
+        self.dense.as_ref()
+    }
+
+    /// The dense instance when neighborhood `nb` spans the whole shard
+    /// (its solves, fallback and audit spec delegate to it), `None`
+    /// for a partial support.
+    pub(crate) fn full_support(&self, nb: u32) -> Option<&Arc<VlpInstance>> {
+        self.dense
+            .as_ref()
+            .filter(|_| self.members(nb).len() == self.len())
     }
 
     /// The auxiliary graph (crate-visible for [`crate::tiers`], whose
@@ -599,18 +630,6 @@ impl LocalShard {
         })
     }
 
-    /// The lazily built dense instance backing full-support delegation.
-    fn dense_instance(&self) -> &Arc<VlpInstance> {
-        self.dense.get_or_init(|| {
-            Arc::new(VlpInstance::new(
-                self.graph.clone(),
-                self.delta,
-                self.f_p.clone(),
-                self.f_q.clone(),
-            ))
-        })
-    }
-
     /// Directed `d_min` balls of radius `r` on the auxiliary graph,
     /// one per member: `map[a][global] = d(member_a → global)` for the
     /// settled prefix. `d_min(a, b) ≤ r` iff either directed distance
@@ -632,10 +651,10 @@ impl LocalShard {
     /// `nb` — both the constraint set local solves enforce and the
     /// audit spec served mechanisms are verified against.
     pub fn audit_spec(&self, nb: u32, epsilon: f64) -> PrivacySpec {
-        let members = self.members(nb);
-        if members.len() == self.len() {
-            return PrivacySpec::full(&self.dense_instance().aux, epsilon, self.plan.protection());
+        if let Some(dense) = self.full_support(nb) {
+            return PrivacySpec::full(&dense.aux, epsilon, self.plan.protection());
         }
+        let members = self.members(nb);
         let radius = self.plan.protection();
         let balls = self.member_out_balls(members, radius);
         // Dense per-member lookup over global ids (small: ball-sized).
@@ -672,13 +691,8 @@ impl LocalShard {
         opts: &CgOptions,
     ) -> Result<LocalSolve, VlpError> {
         let members = self.members(nb);
-        if members.len() == self.len() {
-            return self.dense_instance().solve_local(
-                epsilon,
-                self.plan.protection(),
-                members,
-                opts,
-            );
+        if let Some(dense) = self.full_support(nb) {
+            return dense.solve_local(epsilon, self.plan.protection(), members, opts);
         }
         let cost = self.restricted_member_cost(members);
         let spec = self.audit_spec(nb, epsilon);
@@ -714,10 +728,10 @@ impl LocalShard {
     /// shards).
     pub fn fallback_neighborhood(&self, nb: u32, epsilon: f64) -> Mechanism {
         assert!(epsilon > 0.0, "epsilon must be positive");
-        let members = self.members(nb);
-        if members.len() == self.len() {
-            return self.dense_instance().fallback(epsilon);
+        if let Some(dense) = self.full_support(nb) {
+            return dense.fallback(epsilon);
         }
+        let members = self.members(nb);
         let k = members.len();
         let nodes: Vec<NodeId> = members.iter().map(|&g| NodeId(g)).collect();
         let mut z = vec![0.0; k * k];
@@ -894,6 +908,46 @@ mod tests {
             shard.fallback_neighborhood(0, 2.0),
             "full-support fallback must be the dense graph-Laplace"
         );
+    }
+
+    #[test]
+    fn prior_update_rebuilds_only_the_dense_cost_bit_identically() {
+        let graph = generators::grid(2, 3, 0.5, true);
+        let mut shard = LocalShard::uniform(graph.clone(), 0.25, f64::INFINITY, 0.5);
+        let k = shard.len();
+        let before = Arc::clone(shard.dense().expect("rho = ∞ builds the dense instance"));
+        let weights: Vec<f64> = (0..k).map(|i| 1.0 + (i % 3) as f64).collect();
+        let f_p = Prior::from_weights(&weights).unwrap();
+        shard.set_worker_prior(f_p.clone());
+        let after = shard.dense().expect("the dense instance survives");
+        let fresh = VlpInstance::new(graph, 0.25, f_p, Prior::uniform(k));
+        for i in 0..k {
+            for l in 0..k {
+                assert_eq!(
+                    after.cost.get(i, l).to_bits(),
+                    fresh.cost.get(i, l).to_bits(),
+                    "cost ({i}, {l})"
+                );
+            }
+        }
+        // Copy-on-write: snapshots taken before the update keep the old
+        // prior.
+        assert_eq!(before.f_p, Prior::uniform(k));
+        assert_eq!(after.f_p, fresh.f_p);
+    }
+
+    #[test]
+    fn dense_instance_exists_iff_a_neighborhood_spans_the_shard() {
+        let graph = generators::grid(3, 3, 0.4, true);
+        let dense_for = |rho: f64| {
+            let shard = LocalShard::uniform(graph.clone(), 0.2, rho, 0.2);
+            let spans = (0..shard.plan().neighborhood_count() as u32)
+                .any(|nb| shard.members(nb).len() == shard.len());
+            assert_eq!(shard.dense().is_some(), spans, "rho {rho}");
+            spans
+        };
+        assert!(!dense_for(0.2), "a small rho must restrict every support");
+        assert!(dense_for(f64::INFINITY));
     }
 
     #[test]

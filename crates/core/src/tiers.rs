@@ -518,8 +518,7 @@ impl crate::local::LocalShard {
         opts: &CgOptions,
     ) -> Result<LocalSolve, VlpError> {
         let members = self.members(nb);
-        let tier = if members.len() == self.len() {
-            let dense = self.dense();
+        let tier = if let Some(dense) = self.full_support(nb) {
             let spec = PrivacySpec::full(&dense.aux, epsilon, self.plan().protection());
             clustered_mechanism(&dense.cost, &spec, width, opts)?
         } else {
@@ -547,8 +546,8 @@ impl crate::local::LocalShard {
     ) -> Result<LocalSolve, VlpError> {
         let members = self.members(nb);
         let d_hat = support_d_hat(self.aux_graph(), members);
-        let tier = if members.len() == self.len() {
-            spanner_mechanism(&self.dense().cost, &d_hat, epsilon, stretch, opts)?
+        let tier = if let Some(dense) = self.full_support(nb) {
+            spanner_mechanism(&dense.cost, &d_hat, epsilon, stretch, opts)?
         } else {
             let cost = self.restricted_member_cost(members);
             spanner_mechanism(&cost, &d_hat, epsilon, stretch, opts)?

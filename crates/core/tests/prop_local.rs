@@ -24,7 +24,7 @@ proptest! {
     /// covers the whole map is bit-identical to the full-shard solve —
     /// on both engines. The dense engine delegates; the sparse engine
     /// (one ∞-radius neighborhood) must reproduce the exact same
-    /// mechanism through its lazily built dense instance.
+    /// mechanism through the dense instance it builds at construction.
     #[test]
     fn radius_infinity_is_bit_identical_to_full_shard(
         graph in arb_graph(),

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! Lock discipline: a thread holds at most one shard's table lock at a
-//! time, never acquires an instance `RwLock` while holding a table
+//! time, never acquires an engine `RwLock` while holding a table
 //! lock, and the global in-flight counter is only taken after (or
 //! without) a table lock — so there is no cycle and no deadlock. Cache
 //! hits touch exactly one short table-lock critical section and never
@@ -34,14 +34,14 @@ use std::time::{Duration, Instant};
 use rand::RngExt;
 use roadnet::{Location, Partition, RoadGraph};
 use vlp_core::local::local_index;
-use vlp_core::{LocalShard, Mechanism, Prior, QualityTier, VlpError, VlpInstance};
+use vlp_core::{LocalShard, Mechanism, Prior, QualityTier, VlpError};
 use vlp_obs::failpoint::{self, site, FaultPlan};
 
 use super::ladder::{
     solve_key, Breaker, BreakerState, CachedSolve, LruCache, MechKey, MissOutcome, SolveStats,
 };
 use super::trace::{Admission, TraceLedger};
-use super::{metrics, Obfuscation, Response, Served, ServiceConfig, TierPolicy};
+use super::{metrics, Obfuscation, Response, Served, ServiceConfig};
 use crate::WorkerId;
 
 /// Locks a mutex, recovering the data on poison: core state is kept
@@ -172,7 +172,7 @@ impl ShardTable {
     /// to it.
     pub(crate) fn fallback_entry(
         &mut self,
-        engine: &EngineSnapshot,
+        engine: &LocalShard,
         key: MechKey,
         canonical: f64,
     ) -> Arc<Mechanism> {
@@ -180,8 +180,71 @@ impl ShardTable {
         Arc::clone(
             self.fallbacks
                 .entry(key)
-                .or_insert_with(|| Arc::new(engine.build_fallback(key.nb, canonical))),
+                .or_insert_with(|| Arc::new(engine.fallback_neighborhood(key.nb, canonical))),
         )
+    }
+
+    /// Accounts one cache-miss outcome against this shard, the single
+    /// path both frontends and the open-loop blackout take: solve time,
+    /// LP shape, retries and panics; breaker success or failure; and on
+    /// success the cache insert, demoting any eviction and dropping the
+    /// superseded stale copy. A solve that is not `current` (started
+    /// under a superseded prior) is demoted to the stale store instead
+    /// of cached fresh. Returns the solved entry, or `None` when the
+    /// key failed, was blacked out or was shed.
+    pub(crate) fn settle(
+        &mut self,
+        key: MechKey,
+        outcome: MissOutcome,
+        current: bool,
+        epoch: u64,
+        config: &ServiceConfig,
+    ) -> Option<CachedSolve> {
+        let obs = vlp_obs::global();
+        let res = &config.resilience;
+        if let MissOutcome::Solved(_, elapsed, retries, panics)
+        | MissOutcome::Failed(elapsed, retries, panics) = &outcome
+        {
+            obs.record_duration(metrics::SOLVE_TIME, *elapsed);
+            if *retries > 0 {
+                obs.incr(metrics::RETRY_ATTEMPTS, u64::from(*retries));
+            }
+            if *panics > 0 {
+                obs.incr(metrics::PANICS_CAUGHT, u64::from(*panics));
+            }
+        }
+        match outcome {
+            MissOutcome::Solved(solve, ..) => {
+                metrics::record_solve_stats(obs, &solve.stats, config.local.is_some());
+                if self.breaker.on_success() {
+                    obs.incr(metrics::BREAKER_RECLOSED, 1);
+                }
+                if current {
+                    if let Some((evicted_key, evicted)) = self.cache.insert(key, solve.clone()) {
+                        obs.incr(metrics::CACHE_EVICTIONS, 1);
+                        self.demote(res.stale_capacity, evicted_key, evicted, epoch);
+                    }
+                    // A fresh optimum supersedes any stale copy.
+                    self.stale.remove(&key);
+                } else {
+                    // Solved under a superseded prior: privacy-equal,
+                    // quality-stale — demote instead of caching fresh.
+                    self.demote(res.stale_capacity, key, solve.clone(), epoch);
+                }
+                Some(solve)
+            }
+            MissOutcome::Failed(..) | MissOutcome::Blackout => {
+                obs.incr(metrics::SOLVE_ERRORS, 1);
+                if self.breaker.on_failure(epoch, res.breaker_threshold) {
+                    obs.incr(metrics::BREAKER_OPENED, 1);
+                }
+                None
+            }
+            MissOutcome::Shed => {
+                obs.incr(metrics::BREAKER_SHED, 1);
+                None
+            }
+        }
     }
 }
 
@@ -198,163 +261,69 @@ pub(crate) struct SolveJob {
     pub(crate) reply: Option<mpsc::Sender<((usize, MechKey), MissOutcome)>>,
 }
 
-/// One shard's solve engine: the classic full-shard instance (one
-/// `O(K²)` LP per ε-bucket), or the locally-relevant engine that
-/// restricts every solve to a ρ-net neighborhood and never materializes
-/// an `O(K²)` object. Both sit behind an `RwLock` so prior updates are
-/// copy-on-write and never block readers for the clone.
-#[derive(Debug)]
-pub(crate) enum ShardEngine {
-    Full(RwLock<Arc<VlpInstance>>),
-    Local(RwLock<Arc<LocalShard>>),
+/// Runs one solve for `key` at `key.tier` on `engine` and packages it
+/// with its LP-shape stats. The intermediate tiers read their
+/// LP-reduction knobs from `config.tiers`.
+///
+/// # Panics
+///
+/// Panics on a `Laplace`-tier key: the graph-Laplace mechanism is
+/// closed-form and built by [`ShardTable::fallback_entry`] — it never
+/// occupies a solver worker.
+fn solve(
+    engine: &LocalShard,
+    key: MechKey,
+    epsilon: f64,
+    config: &ServiceConfig,
+) -> Result<CachedSolve, VlpError> {
+    let (cg, tiers) = (&config.cg, &config.tiers);
+    let ls = match key.tier {
+        QualityTier::Exact => engine.solve_neighborhood(key.nb, epsilon, cg),
+        QualityTier::Clustered => {
+            engine.clustered_neighborhood(key.nb, epsilon, tiers.cluster_width, cg)
+        }
+        QualityTier::Spanner => {
+            engine.spanner_neighborhood(key.nb, epsilon, tiers.spanner_stretch, cg)
+        }
+        QualityTier::Laplace => {
+            unreachable!("Laplace is built closed-form, never queued as a solve")
+        }
+    }?;
+    Ok(CachedSolve {
+        mechanism: Arc::new(ls.mechanism),
+        quality_loss: ls.quality_loss,
+        stats: SolveStats {
+            support: ls.support.len() as u64,
+            lp_vars: ls.lp_vars as u64,
+            lp_rows: ls.lp_rows as u64,
+        },
+    })
 }
 
-/// A point-in-time snapshot of one shard's engine (cheap: one refcount
-/// bump), carrying everything a request or a solver worker needs —
-/// locating/transplanting on the shard map, routing intervals to
-/// neighborhoods, solving, and building per-neighborhood fallbacks.
-#[derive(Debug, Clone)]
-pub(crate) enum EngineSnapshot {
-    Full(Arc<VlpInstance>),
-    Local(Arc<LocalShard>),
-}
-
-impl EngineSnapshot {
-    /// Locates a shard-local location's interval on the shard map.
-    pub(crate) fn locate(&self, local: Location) -> Option<usize> {
-        match self {
-            EngineSnapshot::Full(inst) => inst.disc.locate(&inst.graph, local),
-            EngineSnapshot::Local(shard) => shard.disc().locate(shard.graph(), local),
-        }
-    }
-
-    /// Transplants a location onto (global) interval `j`.
-    pub(crate) fn transplant(&self, local: Location, j: usize) -> Option<Location> {
-        match self {
-            EngineSnapshot::Full(inst) => inst.disc.transplant(&inst.graph, local, j),
-            EngineSnapshot::Local(shard) => shard.disc().transplant(shard.graph(), local, j),
-        }
-    }
-
-    /// The neighborhood serving interval `i`: always `0` in full-shard
-    /// mode, the ρ-net assignment in locally-relevant mode.
-    pub(crate) fn neighborhood_of(&self, i: usize) -> u32 {
-        match self {
-            EngineSnapshot::Full(_) => 0,
-            EngineSnapshot::Local(shard) => shard.neighborhood_of(i),
-        }
-    }
-
-    /// Maps global interval `i` to its row in neighborhood `nb`'s
-    /// mechanism. Identity in full-shard mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is outside `nb`'s support — impossible for the
-    /// serving path, which derives `nb` from `i`'s own assignment (an
-    /// interval is always ρ-covered by its assigned center, hence in
-    /// the ρ+r ball).
-    pub(crate) fn local_row(&self, nb: u32, i: usize) -> usize {
-        match self {
-            EngineSnapshot::Full(_) => i,
-            EngineSnapshot::Local(shard) => local_index(shard.members(nb), i)
-                .expect("an interval is in its assigned neighborhood's support"),
-        }
-    }
-
-    /// Maps a sampled mechanism column of neighborhood `nb` back to a
-    /// global interval id. Identity in full-shard mode.
-    pub(crate) fn global_interval(&self, nb: u32, col: usize) -> usize {
-        match self {
-            EngineSnapshot::Full(_) => col,
-            EngineSnapshot::Local(shard) => shard.members(nb)[col],
-        }
-    }
-
-    /// Builds neighborhood `nb`'s closed-form fallback at `canonical`.
-    pub(crate) fn build_fallback(&self, nb: u32, canonical: f64) -> Mechanism {
-        match self {
-            EngineSnapshot::Full(inst) => inst.fallback(canonical),
-            EngineSnapshot::Local(shard) => shard.fallback_neighborhood(nb, canonical),
-        }
-    }
-
-    /// Runs one solve for `key` at `key.tier` and packages it with its
-    /// LP-shape stats. `radius` is only read in full-shard mode; the
-    /// local engine's protection radius is fixed at boot. The
-    /// intermediate tiers read their LP-reduction knobs from `tiers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a `Laplace`-tier key: the graph-Laplace mechanism is
-    /// closed-form and built by [`EngineSnapshot::build_fallback`] —
-    /// it never occupies a solver worker.
-    pub(crate) fn solve(
-        &self,
-        key: MechKey,
-        epsilon: f64,
-        radius: f64,
-        cg: &vlp_core::CgOptions,
-        tiers: &TierPolicy,
-    ) -> Result<CachedSolve, VlpError> {
-        match self {
-            EngineSnapshot::Full(inst) => {
-                let k = inst.len();
-                let from_tier = |ts: vlp_core::TierSolve| CachedSolve {
-                    mechanism: Arc::new(ts.mechanism),
-                    quality_loss: ts.quality_loss,
-                    stats: SolveStats {
-                        support: k as u64,
-                        lp_vars: ts.lp_vars as u64,
-                        lp_rows: ts.lp_rows as u64,
-                    },
-                };
-                match key.tier {
-                    QualityTier::Exact => inst.solve(epsilon, radius, cg).map(|sv| CachedSolve {
-                        mechanism: Arc::new(sv.mechanism),
-                        quality_loss: sv.quality_loss,
-                        stats: SolveStats {
-                            support: k as u64,
-                            lp_vars: (k * k) as u64,
-                            lp_rows: sv.spec.lp_row_count(k) as u64,
-                        },
-                    }),
-                    QualityTier::Clustered => inst
-                        .solve_clustered(epsilon, radius, tiers.cluster_width, cg)
-                        .map(from_tier),
-                    QualityTier::Spanner => inst
-                        .solve_spanner(epsilon, tiers.spanner_stretch, cg)
-                        .map(from_tier),
-                    QualityTier::Laplace => {
-                        unreachable!("Laplace is built closed-form, never queued as a solve")
-                    }
-                }
-            }
-            EngineSnapshot::Local(shard) => {
-                let ls = match key.tier {
-                    QualityTier::Exact => shard.solve_neighborhood(key.nb, epsilon, cg),
-                    QualityTier::Clustered => {
-                        shard.clustered_neighborhood(key.nb, epsilon, tiers.cluster_width, cg)
-                    }
-                    QualityTier::Spanner => {
-                        shard.spanner_neighborhood(key.nb, epsilon, tiers.spanner_stretch, cg)
-                    }
-                    QualityTier::Laplace => {
-                        unreachable!("Laplace is built closed-form, never queued as a solve")
-                    }
-                };
-                ls.map(|ls| CachedSolve {
-                    mechanism: Arc::new(ls.mechanism),
-                    quality_loss: ls.quality_loss,
-                    stats: SolveStats {
-                        support: ls.support.len() as u64,
-                        lp_vars: ls.lp_vars as u64,
-                        lp_rows: ls.lp_rows as u64,
-                    },
-                })
-            }
-        }
-    }
+/// Samples the report of a vehicle at shard-local `local` (interval
+/// `i`) from neighborhood `nb`'s `mechanism`: the row is `i`'s position
+/// in the sorted support, and the sampled column is lifted back to a
+/// global interval and transplanted onto it. Returns the reported
+/// interval and location.
+pub(crate) fn sample_report<R: RngExt + ?Sized>(
+    engine: &LocalShard,
+    nb: u32,
+    i: usize,
+    local: Location,
+    mechanism: &Mechanism,
+    rng: &mut R,
+) -> (usize, Location) {
+    let members = engine.members(nb);
+    // An interval is always ρ-covered by its assigned center, hence in
+    // the ρ + r support ball.
+    let row =
+        local_index(members, i).expect("an interval is in its assigned neighborhood's support");
+    let j = members[mechanism.sample_interval(row, rng)];
+    let location = engine
+        .disc()
+        .transplant(engine.graph(), local, j)
+        .expect("reported interval lies on the shard");
+    (j, location)
 }
 
 /// One region shard's runtime: its solve engine (copy-on-write behind
@@ -362,7 +331,7 @@ impl EngineSnapshot {
 /// routing table, and the sending half of its bounded solve queue.
 #[derive(Debug)]
 pub(crate) struct ShardRuntime {
-    engine: ShardEngine,
+    engine: RwLock<Arc<LocalShard>>,
     pub(crate) table: Mutex<ShardTable>,
     sender: Mutex<Option<SyncSender<SolveJob>>>,
     /// Jobs completed after shutdown began (the drain).
@@ -371,42 +340,8 @@ pub(crate) struct ShardRuntime {
 
 impl ShardRuntime {
     /// A snapshot of the shard's engine (cheap: one refcount bump).
-    pub(crate) fn engine(&self) -> EngineSnapshot {
-        match &self.engine {
-            ShardEngine::Full(slot) => {
-                EngineSnapshot::Full(Arc::clone(&slot.read().unwrap_or_else(|p| p.into_inner())))
-            }
-            ShardEngine::Local(slot) => {
-                EngineSnapshot::Local(Arc::clone(&slot.read().unwrap_or_else(|p| p.into_inner())))
-            }
-        }
-    }
-
-    /// A snapshot of the shard's full-shard instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics in locally-relevant mode, which never materializes an
-    /// `O(K²)` instance — use the [`LocalShard`] accessors instead.
-    pub(crate) fn instance(&self) -> Arc<VlpInstance> {
-        match &self.engine {
-            ShardEngine::Full(slot) => Arc::clone(&slot.read().unwrap_or_else(|p| p.into_inner())),
-            ShardEngine::Local(_) => panic!(
-                "shard_instance is a full-shard accessor; \
-                 locally-relevant shards expose LocalShard instead"
-            ),
-        }
-    }
-
-    /// A snapshot of the shard's locally-relevant engine, when the
-    /// service runs in that mode.
-    pub(crate) fn local_shard(&self) -> Option<Arc<LocalShard>> {
-        match &self.engine {
-            ShardEngine::Full(_) => None,
-            ShardEngine::Local(slot) => {
-                Some(Arc::clone(&slot.read().unwrap_or_else(|p| p.into_inner())))
-            }
-        }
+    pub(crate) fn engine(&self) -> Arc<LocalShard> {
+        Arc::clone(&self.engine.read().unwrap_or_else(|p| p.into_inner()))
     }
 
     fn sender(&self) -> Option<SyncSender<SolveJob>> {
@@ -542,7 +477,8 @@ impl CoreShared {
         let shard = &self.shards[s];
         let engine = shard.engine();
         let i = engine
-            .locate(local)
+            .disc()
+            .locate(engine.graph(), local)
             .expect("shard-local location lies on the shard");
         let slot = MechKey {
             nb: engine.neighborhood_of(i),
@@ -594,11 +530,7 @@ impl CoreShared {
                 if let (Some(acct), Some((_, throttled))) = (&self.accountant, reservation) {
                     lock(acct).commit(throttled);
                 }
-                let row = engine.local_row(slot.nb, i);
-                let j = engine.global_interval(slot.nb, mechanism.sample_interval(row, rng));
-                let location = engine
-                    .transplant(local, j)
-                    .expect("reported interval lies on the shard");
+                let (j, location) = sample_report(&engine, slot.nb, i, local, &mechanism, rng);
                 Response::Served(Obfuscation {
                     worker,
                     shard: s,
@@ -619,7 +551,7 @@ impl CoreShared {
         &self,
         t: &mut ShardTable,
         shard: &ShardRuntime,
-        engine: &EngineSnapshot,
+        engine: &LocalShard,
         key: MechKey,
         canonical: f64,
         epoch: u64,
@@ -649,13 +581,7 @@ impl CoreShared {
             // attempt; the breaker hears about it once per key per
             // epoch, mirroring the batch path's accounting.
             if t.blackout_accounted.insert(key) {
-                let obs = vlp_obs::global();
-                obs.incr(metrics::SOLVE_ERRORS, 1);
-                if t.breaker
-                    .on_failure(epoch, self.config.resilience.breaker_threshold)
-                {
-                    obs.incr(metrics::BREAKER_OPENED, 1);
-                }
+                t.settle(key, MissOutcome::Blackout, true, epoch, &self.config);
             }
             shed = true;
         } else if admitted {
@@ -823,19 +749,11 @@ impl CoreShared {
     /// the stale store when they land (generation check).
     pub(crate) fn set_worker_prior(&self, s: usize, f_p: Prior) {
         let shard = &self.shards[s];
-        match &shard.engine {
-            ShardEngine::Full(slot) => {
-                let mut slot = slot.write().unwrap_or_else(|p| p.into_inner());
-                let mut inst = (**slot).clone();
-                inst.set_worker_prior(f_p);
-                *slot = Arc::new(inst);
-            }
-            ShardEngine::Local(slot) => {
-                let mut slot = slot.write().unwrap_or_else(|p| p.into_inner());
-                let mut sh = (**slot).clone();
-                sh.set_worker_prior(f_p);
-                *slot = Arc::new(sh);
-            }
+        {
+            let mut slot = shard.engine.write().unwrap_or_else(|p| p.into_inner());
+            let mut engine = (**slot).clone();
+            engine.set_worker_prior(f_p);
+            *slot = Arc::new(engine);
         }
         let epoch = self.epoch.load(Ordering::Relaxed);
         let stale_capacity = self.config.resilience.stale_capacity;
@@ -886,13 +804,7 @@ impl CoreShared {
                 failpoint::activate(Arc::clone(&self.chaos), solve_key(job.epoch, key, attempt))
             });
             let result = catch_unwind(AssertUnwindSafe(|| {
-                engine.solve(
-                    job.key,
-                    job.epsilon,
-                    self.config.radius,
-                    &self.config.cg,
-                    &self.config.tiers,
-                )
+                solve(&engine, job.key, job.epsilon, &self.config)
             }));
             match result {
                 Ok(Ok(sv)) => {
@@ -910,59 +822,15 @@ impl CoreShared {
         (outcome, gen)
     }
 
-    /// Applies an open-loop solve outcome to the shard table: cache on
-    /// success (demoting any eviction and any superseded-generation
-    /// solve), breaker accounting on failure.
+    /// Applies an open-loop solve outcome to the shard table
+    /// ([`ShardTable::settle`]); a solve started under a superseded
+    /// prior generation is demoted to stale instead of cached fresh.
     fn publish(&self, s: usize, key: MechKey, gen: u64, outcome: MissOutcome) {
-        let obs = vlp_obs::global();
-        let res = &self.config.resilience;
         let epoch = self.epoch.load(Ordering::Relaxed);
-        let shard = &self.shards[s];
-        let mut t = lock(&shard.table);
+        let mut t = lock(&self.shards[s].table);
         t.inflight.remove(&key);
-        match outcome {
-            MissOutcome::Solved(solve, elapsed, retries, panics) => {
-                obs.record_duration(metrics::SOLVE_TIME, elapsed);
-                metrics::record_solve_stats(obs, &solve.stats, self.config.local.is_some());
-                if retries > 0 {
-                    obs.incr(metrics::RETRY_ATTEMPTS, u64::from(retries));
-                }
-                if panics > 0 {
-                    obs.incr(metrics::PANICS_CAUGHT, u64::from(panics));
-                }
-                if t.breaker.on_success() {
-                    obs.incr(metrics::BREAKER_RECLOSED, 1);
-                }
-                if gen == t.instance_gen {
-                    if let Some((evicted_key, evicted)) = t.cache.insert(key, solve) {
-                        obs.incr(metrics::CACHE_EVICTIONS, 1);
-                        t.demote(res.stale_capacity, evicted_key, evicted, epoch);
-                    }
-                    // A fresh optimum supersedes any stale copy.
-                    t.stale.remove(&key);
-                } else {
-                    // Solved under a superseded prior: privacy-equal,
-                    // quality-stale — demote instead of caching fresh.
-                    t.demote(res.stale_capacity, key, solve, epoch);
-                }
-            }
-            MissOutcome::Failed(elapsed, retries, panics) => {
-                obs.record_duration(metrics::SOLVE_TIME, elapsed);
-                if retries > 0 {
-                    obs.incr(metrics::RETRY_ATTEMPTS, u64::from(retries));
-                }
-                if panics > 0 {
-                    obs.incr(metrics::PANICS_CAUGHT, u64::from(panics));
-                }
-                obs.incr(metrics::SOLVE_ERRORS, 1);
-                if t.breaker.on_failure(epoch, res.breaker_threshold) {
-                    obs.incr(metrics::BREAKER_OPENED, 1);
-                }
-            }
-            MissOutcome::Blackout | MissOutcome::Shed => {
-                debug_assert!(false, "blackout/shed outcomes are never queued");
-            }
-        }
+        let current = gen == t.instance_gen;
+        t.settle(key, outcome, current, epoch, &self.config);
     }
 }
 
@@ -1051,24 +919,14 @@ impl ServingCore {
             .map(|s| {
                 let (tx, rx) = mpsc::sync_channel(config.queue_capacity);
                 receivers.push(Arc::new(Mutex::new(rx)));
-                let engine = match &config.local {
-                    None => ShardEngine::Full(RwLock::new(Arc::new(VlpInstance::uniform(
-                        s.graph().clone(),
-                        config.delta,
-                    )))),
-                    Some(local) => {
-                        let shard = LocalShard::uniform(
-                            s.graph().clone(),
-                            config.delta,
-                            local.rho,
-                            config.radius,
-                        );
-                        neighborhoods += shard.plan().neighborhood_count() as u64;
-                        ShardEngine::Local(RwLock::new(Arc::new(shard)))
-                    }
-                };
+                // Full-shard mode is the ρ = ∞ plan: one neighborhood
+                // spanning the shard, served by its dense instance.
+                let rho = config.local.map_or(f64::INFINITY, |local| local.rho);
+                let engine =
+                    LocalShard::uniform(s.graph().clone(), config.delta, rho, config.radius);
+                neighborhoods += engine.plan().neighborhood_count() as u64;
                 ShardRuntime {
-                    engine,
+                    engine: RwLock::new(Arc::new(engine)),
                     table: Mutex::new(ShardTable::new(&config)),
                     sender: Mutex::new(Some(tx)),
                     drained: AtomicU64::new(0),

@@ -8,9 +8,10 @@
 //! pipelined core (the private `core` submodule):
 //!
 //! * **Sharding** — the graph is split into bands of near-equal node
-//!   count; each shard owns its own [`VlpInstance`] (discretization,
-//!   interval distances, cost matrix), its own routing table, its own
-//!   bounded solve queue, and its own task queue.
+//!   count; each shard owns its own solve engine ([`LocalShard`]: the
+//!   discretization, the neighborhood plan, and — for a whole-shard
+//!   neighborhood — a dense [`VlpInstance`]), its own routing table,
+//!   its own bounded solve queue, and its own task queue.
 //! * **Caller-path serving** — solved mechanisms are cached per
 //!   `(shard, ε-bucket)` in a per-shard bounded LRU. A cache hit is
 //!   served on the caller path — one short per-shard lock, one `Arc`
@@ -107,7 +108,7 @@ pub(crate) mod core;
 mod ladder;
 mod trace;
 
-use core::{lock, CoreShared, EngineSnapshot, ServingCore};
+use core::{lock, sample_report, CoreShared, ServingCore};
 use ladder::{CachedSolve, MechKey, MissOutcome};
 
 pub use core::ShutdownReport;
@@ -314,15 +315,17 @@ pub struct ServiceConfig {
     /// Retry, breaker, and stale-store tuning for the resilience
     /// ladder (see the [module docs](self)).
     pub resilience: ResilienceConfig,
-    /// Opt-in locally-relevant solve mode. `None` (the default) keeps
-    /// the classic full-shard engine: one `O(K²)` LP per
+    /// Opt-in locally-relevant solve mode. Every shard runs the same
+    /// engine ([`LocalShard`]); this picks its assignment radius ρ.
+    /// `None` (the default) is full-shard mode, the ρ = ∞ plan: one
+    /// neighborhood per shard, so one `O(K²)` LP per
     /// `(shard, ε-bucket)`. `Some` restricts every solve to the ρ-net
     /// neighborhood covering the reporting vehicle — an `O(k²)` LP over
     /// the `k ≪ K` intervals within road-network reach — making solve
     /// cost independent of map size (see `ARCHITECTURE.md`,
-    /// "Locally-relevant solving"). With [`LocalConfig::rho`] `= ∞` the
-    /// mode degenerates to a single whole-shard neighborhood and is
-    /// bit-identical to the full engine.
+    /// "Locally-relevant solving"). `None` and
+    /// `Some(LocalConfig { rho: ∞ })` serve bit-identical mechanisms
+    /// and differ only in the `service.local.*` counters.
     pub local: Option<LocalConfig>,
     /// Deterministic fault-injection schedule. The default (empty)
     /// plan injects nothing and leaves every ladder rung inert; chaos
@@ -452,7 +455,7 @@ pub struct LocalConfig {
     /// ball is inside the support (the locality theorem). Smaller ρ
     /// means smaller LPs but more neighborhoods (more cache keys,
     /// more cold-start fallback serving); `∞` means one whole-shard
-    /// neighborhood, bit-identical to the full engine.
+    /// neighborhood — exactly the plan full-shard mode boots.
     ///
     /// A finite ρ requires a finite [`ServiceConfig::radius`] —
     /// otherwise every support would be the whole shard anyway.
@@ -713,7 +716,7 @@ pub struct MechanismService {
 impl MechanismService {
     /// Boots a service over `graph`: partitions it into
     /// `config.n_shards` region shards, prepares one uniform-prior
-    /// [`VlpInstance`] per shard, and starts
+    /// [`LocalShard`] engine per shard, and starts
     /// [`ServiceConfig::solver_threads`] long-lived solver workers per
     /// shard. No mechanism is solved yet — the cache starts cold and
     /// fills on demand.
@@ -741,29 +744,42 @@ impl MechanismService {
         self.core.shared.shards.len()
     }
 
-    /// A snapshot of shard `s`'s VLP instance (cheap: one refcount
-    /// bump; prior updates swap the instance copy-on-write).
+    /// A snapshot of shard `s`'s dense VLP instance in full-shard mode
+    /// (cheap: one refcount bump; prior updates swap the engine
+    /// copy-on-write). Full-shard mode is the ρ = ∞ plan, whose one
+    /// whole-shard neighborhood is served by exactly this instance.
     ///
     /// # Panics
     ///
-    /// Panics if `s` is out of range, or if the service runs in
-    /// locally-relevant mode — that mode never materializes an `O(K²)`
-    /// instance; use [`MechanismService::local_shard`] instead.
+    /// Panics if `s` is out of range, or if [`ServiceConfig::local`] is
+    /// set — a locally-relevant engine is inspected through
+    /// [`MechanismService::local_shard`] instead.
     pub fn shard_instance(&self, s: usize) -> Arc<VlpInstance> {
-        self.core.shared.shards[s].instance()
+        let engine = self.core.shared.shards[s].engine();
+        assert!(
+            self.config().local.is_none(),
+            "shard_instance is a full-shard accessor; \
+             locally-relevant shards expose LocalShard instead"
+        );
+        Arc::clone(
+            engine
+                .dense()
+                .expect("the rho = ∞ plan carries the dense instance"),
+        )
     }
 
-    /// A snapshot of shard `s`'s locally-relevant engine, when
-    /// [`ServiceConfig::local`] is set — the neighborhood plan,
-    /// per-neighborhood supports, and audit specs
-    /// ([`LocalShard::audit_spec`]) live here. `None` in full-shard
-    /// mode.
+    /// A snapshot of shard `s`'s engine when [`ServiceConfig::local`]
+    /// is set — the neighborhood plan, per-neighborhood supports, and
+    /// audit specs ([`LocalShard::audit_spec`]) live here. `None` in
+    /// full-shard mode, which runs the same engine on the ρ = ∞ plan
+    /// (see [`MechanismService::shard_instance`]).
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range.
     pub fn local_shard(&self, s: usize) -> Option<Arc<LocalShard>> {
-        self.core.shared.shards[s].local_shard()
+        let engine = self.core.shared.shards[s].engine();
+        self.config().local.is_some().then_some(engine)
     }
 
     /// Number of solved mechanisms currently cached across shards.
@@ -1149,7 +1165,7 @@ impl MechanismService {
         // Phase A: map requests into shards, locate their intervals
         // (which fixes the serving neighborhood — always 0 in
         // full-shard mode), and classify hit/miss.
-        let engines: Vec<EngineSnapshot> = shared.shards.iter().map(|sh| sh.engine()).collect();
+        let engines: Vec<Arc<LocalShard>> = shared.shards.iter().map(|sh| sh.engine()).collect();
         struct Resolved {
             worker: WorkerId,
             shard: usize,
@@ -1169,11 +1185,13 @@ impl MechanismService {
                 continue;
             };
             let (bucket, canonical) = shared.bucket(epsilon);
-            let interval = engines[shard]
-                .locate(local)
+            let engine = &engines[shard];
+            let interval = engine
+                .disc()
+                .locate(engine.graph(), local)
                 .expect("shard-local location lies on the shard");
             let slot = MechKey {
-                nb: engines[shard].neighborhood_of(interval),
+                nb: engine.neighborhood_of(interval),
                 bucket,
                 tier: QualityTier::Exact,
             };
@@ -1243,60 +1261,19 @@ impl MechanismService {
         // order depends on thread timing; breaker and cache state must
         // not), cache everything that solved, then serve.
         outcomes.sort_by_key(|o| o.0);
-        let threshold = shared.config.resilience.breaker_threshold;
-        let local_mode = shared.config.local.is_some();
         let mut in_time: HashSet<(usize, MechKey)> = HashSet::new();
         let mut fresh: HashMap<(usize, MechKey), CachedSolve> = HashMap::new();
         let mut failed_keys: HashSet<(usize, MechKey)> = HashSet::new();
         for (key, outcome) in outcomes {
             let mut t = lock(&shared.shards[key.0].table);
-            match outcome {
-                MissOutcome::Solved(solve, elapsed, retries, panics) => {
-                    obs.record_duration(metrics::SOLVE_TIME, elapsed);
-                    metrics::record_solve_stats(obs, &solve.stats, local_mode);
-                    if retries > 0 {
-                        obs.incr(metrics::RETRY_ATTEMPTS, u64::from(retries));
-                    }
-                    if panics > 0 {
-                        obs.incr(metrics::PANICS_CAUGHT, u64::from(panics));
-                    }
-                    if t.breaker.on_success() {
-                        obs.incr(metrics::BREAKER_RECLOSED, 1);
-                    }
-                    if let Some((evicted_bucket, evicted)) = t.cache.insert(key.1, solve.clone()) {
-                        obs.incr(metrics::CACHE_EVICTIONS, 1);
-                        t.demote(stale_capacity, evicted_bucket, evicted, batch);
-                    }
-                    // A fresh optimum supersedes any stale copy.
-                    t.stale.remove(&key.1);
+            match t.settle(key.1, outcome, true, batch, &shared.config) {
+                Some(solve) => {
                     if wait_for_solves {
                         in_time.insert(key);
                     }
                     fresh.insert(key, solve);
                 }
-                MissOutcome::Failed(elapsed, retries, panics) => {
-                    obs.record_duration(metrics::SOLVE_TIME, elapsed);
-                    if retries > 0 {
-                        obs.incr(metrics::RETRY_ATTEMPTS, u64::from(retries));
-                    }
-                    if panics > 0 {
-                        obs.incr(metrics::PANICS_CAUGHT, u64::from(panics));
-                    }
-                    obs.incr(metrics::SOLVE_ERRORS, 1);
-                    if t.breaker.on_failure(batch, threshold) {
-                        obs.incr(metrics::BREAKER_OPENED, 1);
-                    }
-                    failed_keys.insert(key);
-                }
-                MissOutcome::Blackout => {
-                    obs.incr(metrics::SOLVE_ERRORS, 1);
-                    if t.breaker.on_failure(batch, threshold) {
-                        obs.incr(metrics::BREAKER_OPENED, 1);
-                    }
-                    failed_keys.insert(key);
-                }
-                MissOutcome::Shed => {
-                    obs.incr(metrics::BREAKER_SHED, 1);
+                None => {
                     failed_keys.insert(key);
                 }
             }
@@ -1357,11 +1334,8 @@ impl MechanismService {
                 Served::Fallback => fallback += 1,
             }
             tier_served[tier as usize] += 1;
-            let row = engine.local_row(r.key.1.nb, r.interval);
-            let j = engine.global_interval(r.key.1.nb, mechanism.sample_interval(row, rng));
-            let location = engine
-                .transplant(r.local, j)
-                .expect("reported interval lies on the shard");
+            let (j, location) =
+                sample_report(engine, r.key.1.nb, r.interval, r.local, &mechanism, rng);
             out.push(Obfuscation {
                 worker: r.worker,
                 shard: r.shard,
@@ -1399,7 +1373,7 @@ impl MechanismService {
     ///
     /// Panics if `s` or `interval` is out of range, or in
     /// locally-relevant mode (the assignment subsystem needs the dense
-    /// interval-distance matrix of the full-shard engine).
+    /// interval-distance matrix of the full-shard instance).
     pub fn publish_task(&mut self, s: usize, interval: usize) -> TaskId {
         let len = self.shard_instance(s).len();
         assert!(interval < len, "task interval out of range");
@@ -1427,7 +1401,7 @@ impl MechanismService {
     ///
     /// Panics if `s` is out of range, or in locally-relevant mode (the
     /// assignment subsystem needs the dense interval-distance matrix of
-    /// the full-shard engine).
+    /// the full-shard instance).
     pub fn snapshot(&mut self, s: usize, reports: &[(WorkerId, usize)]) -> SnapshotOutcome {
         let instance = self.shard_instance(s);
         let shard = &mut self.tasks[s];
@@ -2080,6 +2054,91 @@ mod tests {
             let plan_len = local.local_shard(s).unwrap().plan().neighborhood_count();
             assert_eq!(plan_len, 1, "infinite rho is one whole-shard neighborhood");
         }
+    }
+
+    /// Full-shard mode runs the one shard engine on its ρ = ∞ plan; pin
+    /// it against dense references built independently of the service:
+    /// the shard instance, every cached Exact, Clustered and Spanner
+    /// solve, and every fallback must match bit for bit.
+    #[test]
+    fn full_mode_matches_independent_dense_references_bit_for_bit() {
+        let mut svc = tiered_service();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(73);
+        let schedule = [
+            (Duration::from_millis(200), 2.0),
+            (Duration::from_millis(80), 3.0),
+            (Duration::from_millis(20), 4.0),
+            (Duration::ZERO, 6.0),
+        ];
+        for (deadline, eps) in schedule {
+            let reqs = requests(&svc, eps);
+            let _ = svc.obfuscate_batch_with_deadline(&reqs, deadline, &mut rng);
+        }
+        let config = svc.config().clone();
+        let width = config.epsilon_bucket;
+        let mut checked = [0usize; 4];
+        for s in 0..svc.shard_count() {
+            let graph = svc.partition().shards()[s].graph().clone();
+            let reference = VlpInstance::uniform(graph, config.delta);
+            let inst = svc.shard_instance(s);
+            let k = reference.len();
+            assert_eq!(inst.len(), k);
+            for i in 0..k {
+                for l in 0..k {
+                    let pairs = [
+                        (inst.cost.get(i, l), reference.cost.get(i, l)),
+                        (
+                            inst.interval_dists.get(i, l),
+                            reference.interval_dists.get(i, l),
+                        ),
+                        (inst.aux.distance(i, l), reference.aux.distance(i, l)),
+                    ];
+                    for (got, want) in pairs {
+                        assert_eq!(got.to_bits(), want.to_bits(), "shard {s} ({i}, {l})");
+                    }
+                }
+            }
+            let t = lock(&svc.core.shared.shards[s].table);
+            for (key, (entry, _)) in &t.cache.map {
+                let eps = key.bucket as f64 * width;
+                let (mechanism, quality_loss) = match key.tier {
+                    QualityTier::Exact => {
+                        let sv = reference.solve(eps, config.radius, &config.cg).unwrap();
+                        (sv.mechanism, sv.quality_loss)
+                    }
+                    QualityTier::Clustered => {
+                        let ts = reference
+                            .solve_clustered(
+                                eps,
+                                config.radius,
+                                config.tiers.cluster_width,
+                                &config.cg,
+                            )
+                            .unwrap();
+                        (ts.mechanism, ts.quality_loss)
+                    }
+                    QualityTier::Spanner => {
+                        let ts = reference
+                            .solve_spanner(eps, config.tiers.spanner_stretch, &config.cg)
+                            .unwrap();
+                        (ts.mechanism, ts.quality_loss)
+                    }
+                    QualityTier::Laplace => unreachable!("fallbacks are never cached"),
+                };
+                assert_eq!(*entry.mechanism, mechanism, "shard {s} {key:?}");
+                assert_eq!(entry.quality_loss.to_bits(), quality_loss.to_bits());
+                checked[key.tier as usize] += 1;
+            }
+            for (key, mechanism) in &t.fallbacks {
+                let eps = key.bucket as f64 * width;
+                assert_eq!(**mechanism, reference.fallback(eps), "shard {s} {key:?}");
+                checked[QualityTier::Laplace as usize] += 1;
+            }
+        }
+        assert!(
+            checked.iter().all(|&n| n > 0),
+            "every rung must be pinned, got {checked:?}"
+        );
     }
 
     /// Finite-radius local mode: every request is served a mechanism
