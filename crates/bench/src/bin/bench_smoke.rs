@@ -17,6 +17,9 @@
 //!   fields (counters, series, run id) are identical across runs;
 //! * `--max-pivots <n>` — override the committed pivot budget
 //!   ([`PIVOT_BUDGET`]).
+//!
+//! The run also fails when the simplex updates more tableau cells than
+//! the committed [`CELL_BUDGET`].
 
 use std::time::Instant;
 
@@ -37,6 +40,14 @@ const RUN_ID: &str = "bench-smoke-v2";
 /// was ~189k); the budget leaves headroom for benign drift while still
 /// failing loudly if warm starts stop engaging.
 const PIVOT_BUDGET: u64 = 75_000;
+
+/// Committed budget for tableau cells the simplex updates across the
+/// scenario (`lpsolve.simplex.cells_updated`) — a speed-independent
+/// gate on the arithmetic per pivot. The sparse-support kernels run the
+/// scenario in ~459M cell updates (dense row sweeps took ~6.8G); the
+/// budget leaves ~20% headroom and fails loudly if the kernels stop
+/// skipping zeros.
+const CELL_BUDGET: u64 = 550_000_000;
 
 /// Runs the fixed scenario against a freshly reset global registry and
 /// returns the resulting telemetry snapshot.
@@ -208,6 +219,16 @@ fn main() {
         );
         std::process::exit(1);
     }
+    let cells = snapshot["counters"][lpsolve::metrics::CELLS_UPDATED]
+        .as_u64()
+        .unwrap_or(0);
+    if cells > CELL_BUDGET {
+        eprintln!(
+            "bench_smoke: FAIL — {cells} tableau cell updates exceed the budget of {CELL_BUDGET} \
+             (simplex kernels no longer sparse?)"
+        );
+        std::process::exit(1);
+    }
     let solves = snapshot["counters"][lpsolve::metrics::SOLVES]
         .as_u64()
         .unwrap_or(0);
@@ -219,7 +240,7 @@ fn main() {
         .unwrap();
     println!(
         "bench_smoke: OK — {solves} LP solves, {pivots} pivots (budget {max_pivots}), \
-         {:.1}% warm, {:.2}s end-to-end → {out}",
+         {cells} cell updates (budget {CELL_BUDGET}), {:.1}% warm, {:.2}s end-to-end → {out}",
         warm_rate * 100.0,
         total_ns as f64 / 1e9
     );

@@ -18,9 +18,10 @@
 //!   *gains* columns.
 //!
 //! Every resolve ends with a **canonical finish** (a refactorization of
-//! the final basis): the reported solution is a pure function of the
-//! problem data and the final basis, independent of the pivot path
-//! that reached it. A warm resolve and a cold solve landing on the same
+//! the final basis, or only a re-price when the resolve took no pivot
+//! and the tableau already is that refactorization): the reported
+//! solution is a pure function of the problem data and the final basis,
+//! independent of the pivot path that reached it. A warm resolve and a cold solve landing on the same
 //! optimal basis therefore return bit-identical solutions, which is
 //! what makes warm-started column generation reproducible against its
 //! cold baseline.
@@ -649,6 +650,50 @@ mod tests {
         let a = lp.solve().unwrap();
         let b = inc.resolve().unwrap();
         assert_close(a.objective, b.objective);
+    }
+
+    #[test]
+    fn zero_pivot_warm_resolve_skips_the_refactorization() {
+        // Doubling the objective keeps the optimal basis: the warm
+        // resolve takes no pivot, and the canonical finish only
+        // re-prices the already-canonical tableau.
+        let mut inc = hillier();
+        inc.resolve().unwrap();
+        inc.set_objective(&[(0, -6.0), (1, -10.0)]).unwrap();
+        let ws = inc.warm.clone().unwrap();
+        assert!(ws.t.canonical);
+        let mut skipped_stats = SolveStats::default();
+        let (skipped, _) =
+            IncrementalLp::resolve_warm(&inc.objective, ws.clone(), &mut skipped_stats).unwrap();
+        assert_eq!(skipped_stats.pivots, 0);
+        assert_eq!(skipped_stats.refactorizations, 0);
+        assert_eq!(skipped_stats.refactor_skips, 1);
+
+        let mut forced = ws;
+        forced.t.canonical = false;
+        let mut forced_stats = SolveStats::default();
+        let (refactored, _) =
+            IncrementalLp::resolve_warm(&inc.objective, forced, &mut forced_stats).unwrap();
+        assert_eq!(forced_stats.pivots, 0);
+        assert_eq!(forced_stats.refactorizations, 1);
+        assert_eq!(skipped.objective.to_bits(), refactored.objective.to_bits());
+        assert_close(skipped.objective, -72.0);
+        for (a, b) in [
+            (&skipped.x, &refactored.x),
+            (&skipped.duals, &refactored.duals),
+        ] {
+            let bits = |v: &Vec<f64>| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
+
+        // An appended column that never enters still changes the data a
+        // refactorization starts from, so the next resolve rebuilds.
+        inc.add_column(100.0, &[(0, 1.0)]).unwrap();
+        let mut append_stats = SolveStats::default();
+        IncrementalLp::resolve_warm(&inc.objective, inc.warm.clone().unwrap(), &mut append_stats)
+            .unwrap();
+        assert_eq!(append_stats.pivots, 0);
+        assert_eq!(append_stats.refactorizations, 1);
     }
 
     #[test]

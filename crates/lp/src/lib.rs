@@ -1,4 +1,4 @@
-//! A dense two-phase simplex linear-programming solver.
+//! A two-phase tableau simplex linear-programming solver.
 //!
 //! The VLP workspace needs an LP solver that exposes **both primal
 //! solutions and dual values**: the Dantzig-Wolfe column-generation
@@ -9,16 +9,17 @@
 //!
 //! * [`LinearProgram`] — a small modelling API (minimization,
 //!   non-negative variables, `≤ / = / ≥` constraints);
-//! * a dense tableau simplex with Dantzig pricing and a Bland-rule
-//!   fallback for anti-cycling;
+//! * a tableau simplex with Dantzig pricing and a Bland-rule fallback
+//!   for anti-cycling, whose pivot and refactorization kernels update
+//!   only the runs of columns covering the pivot row's nonzeros;
 //! * two phases: artificial variables establish feasibility, then the
 //!   true objective is optimized;
 //! * [`Solution`] carries the optimum, the primal point, and one dual
 //!   value per constraint.
 //!
 //! The solver targets the problem sizes that arise in this workspace
-//! (up to a few thousand rows/columns, dense arithmetic); it is not a
-//! general sparse industrial solver.
+//! (up to a few thousand rows/columns, dense tableau storage); it is
+//! not a general sparse industrial solver.
 //!
 //! # Example
 //!
@@ -40,6 +41,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+#[cfg(test)]
+mod dense_oracle;
 mod error;
 mod incremental;
 mod problem;

@@ -1,11 +1,12 @@
-//! Dense two-phase tableau simplex.
+//! Two-phase tableau simplex with sparse-support kernels.
 //!
 //! Internal module; the public entry points are
 //! [`LinearProgram::solve`](crate::LinearProgram::solve) (one-shot
 //! solves) and [`IncrementalLp`](crate::IncrementalLp) (persistent,
 //! warm-started solves built on the same tableau machinery).
 //!
-//! The implementation is the classic textbook method:
+//! The implementation is the classic textbook method on an explicit
+//! tableau (variable upper bounds are ordinary `≤` rows):
 //!
 //! 1. normalize every row to a non-negative right-hand side;
 //! 2. add a slack (`≤`) or surplus (`≥`) column per row, plus an
@@ -25,10 +26,30 @@
 //! column-index threshold) so that structural columns appended *after*
 //! assembly — the warm-started master's generated columns — price and
 //! pivot like any original column.
+//!
+//! # Sparse-support kernels
+//!
+//! The tableau is stored densely, but the two elimination kernels — a
+//! simplex [`pivot`](Tableau::pivot) and the Gauss-Jordan
+//! [`refactor`](Tableau::refactor) — update a row only on the runs of
+//! columns that cover the normalized pivot row's nonzeros (a gap of
+//! fewer than [`RUN_GAP`] zeros does not split a run, so dense rows
+//! update in long contiguous stretches). They make the same pivot
+//! choices and, per cell, the same sequence of multiply-subtracts as
+//! the textbook dense loops, minus updates whose pivot-row entry is
+//! zero. Skipping those changes no nonzero value: for any `x ≠ 0`,
+//! `x − f·(±0)` is exactly `x`. Only the *sign* of an exact zero can
+//! differ from the dense result, and nothing reads that sign — the
+//! ratio test, the pricing comparisons, the `max(0.0)` clamps and
+//! `==` all treat `−0.0` and `+0.0` alike. The dense kernels are kept
+//! as a test-only oracle that the solver is checked against bit for
+//! bit.
 
-// Dense numeric kernels below index several parallel arrays in one
-// loop; iterator rewrites would obscure the linear-algebra intent.
+// The numeric kernels below index several parallel arrays in one loop;
+// iterator rewrites would obscure the linear-algebra intent.
 #![allow(clippy::needless_range_loop)]
+
+use std::cell::RefCell;
 
 use crate::error::LpError;
 use crate::problem::{Constraint, LinearProgram, Relation, Solution};
@@ -43,6 +64,12 @@ pub mod metrics {
     pub const PIVOTS: &str = "lpsolve.simplex.pivots";
     /// Counter: periodic + phase-boundary refactorizations.
     pub const REFACTORIZATIONS: &str = "lpsolve.simplex.refactorizations";
+    /// Counter: refactorizations skipped because the tableau was
+    /// already the refactorization of its basis (only re-priced).
+    pub const REFACTOR_SKIPS: &str = "lpsolve.simplex.refactor_skips";
+    /// Counter: tableau cells updated by a multiply-subtract in pivots
+    /// and refactorizations — the solver's arithmetic work.
+    pub const CELLS_UPDATED: &str = "lpsolve.simplex.cells_updated";
     /// Counter: phase-1 simplex iterations.
     pub const PHASE1_ITERATIONS: &str = "lpsolve.simplex.phase1_iterations";
     /// Counter: phase-2 simplex iterations.
@@ -70,6 +97,8 @@ pub mod metrics {
 pub(crate) struct SolveStats {
     pub(crate) pivots: u64,
     pub(crate) refactorizations: u64,
+    pub(crate) refactor_skips: u64,
+    pub(crate) cells_updated: u64,
     pub(crate) phase1_iterations: u64,
     pub(crate) phase2_iterations: u64,
 }
@@ -80,6 +109,8 @@ impl SolveStats {
         reg.incr(metrics::SOLVES, 1);
         reg.incr(metrics::PIVOTS, self.pivots);
         reg.incr(metrics::REFACTORIZATIONS, self.refactorizations);
+        reg.incr(metrics::REFACTOR_SKIPS, self.refactor_skips);
+        reg.incr(metrics::CELLS_UPDATED, self.cells_updated);
         reg.incr(metrics::PHASE1_ITERATIONS, self.phase1_iterations);
         reg.incr(metrics::PHASE2_ITERATIONS, self.phase2_iterations);
     }
@@ -101,6 +132,13 @@ const PERTURB: f64 = 1e-10;
 /// on smaller entries amplifies round-off by their reciprocal and was
 /// observed to corrupt long runs on degenerate Geo-I programs.
 const PIVOT_TOL: f64 = 1e-7;
+/// Zero gaps shorter than this inside a pivot row do not split its
+/// nonzero runs. Updating a gap cell costs less than starting a new run
+/// once rows are dense (the master LP's are ~75% nonzero), and it is
+/// the dense loop's own update: `x − f·0` leaves every nonzero `x`
+/// unchanged.
+const RUN_GAP: usize = 4;
+
 /// Refactorize (rebuild the tableau from the original data by
 /// Gauss-Jordan on the current basis) every this many pivots to purge
 /// accumulated floating-point drift.
@@ -116,10 +154,14 @@ pub(crate) struct Tableau {
     pub(crate) cols: usize,
     /// Row-major data, each row has `cols + 1` entries (last = rhs).
     pub(crate) data: Vec<f64>,
-    /// Pristine copy of `data` as assembled (basis = identity on the
-    /// initial slack/artificial columns); used for refactorization.
-    /// Appended columns extend it with their original coefficients.
-    pub(crate) orig: Vec<f64>,
+    /// The original rows, sparse: per row, the nonzero `(column,
+    /// value)` entries of `data` as assembled (basis = identity on the
+    /// initial slack/artificial columns) in column order, extended with
+    /// the original coefficients of appended columns. Refactorization
+    /// rebuilds `data` from it and `orig_rhs`.
+    pub(crate) orig: Vec<Vec<(usize, f64)>>,
+    /// The rhs of each row as assembled.
+    pub(crate) orig_rhs: Vec<f64>,
     /// Reduced-cost row, `cols` entries.
     pub(crate) reduced: Vec<f64>,
     /// Current objective value of the phase being optimized.
@@ -138,14 +180,137 @@ pub(crate) struct Tableau {
     pub(crate) is_artificial: Vec<bool>,
     /// Number of artificial columns.
     pub(crate) n_artificial: usize,
+    /// Whether `data` is exactly what [`refactor`](Self::refactor)
+    /// computes from `orig` for the current basis. Set at assembly
+    /// (the basis matrix is the identity) and by a successful
+    /// refactorization; cleared by pivots and column appends. A
+    /// refactorization of a canonical tableau only re-prices.
+    pub(crate) canonical: bool,
+}
+
+/// Per-thread scratch for the elimination kernels, so the many
+/// persistent pricing tableaux do not each hold a work matrix. Between
+/// calls `mat` and `listed` are all-zero and `col_rows` is empty, so a
+/// refactorization writes and clears only the cells it uses.
+#[derive(Default)]
+struct Scratch {
+    /// Runs `[a, b)` covering the nonzero columns of the normalized
+    /// pivot row (see [`Scratch::push_nonzero`]).
+    runs: Vec<(usize, usize)>,
+    /// The normalized pivot row; valid on `runs`.
+    pval: Vec<f64>,
+    /// Refactorization work matrix `A b`, by physical row, width `w`.
+    mat: Vec<f64>,
+    /// Per physical row, a bitset of the columns that have held a
+    /// nonzero in `mat` (`words` 64-bit words per row).
+    listed: Vec<u64>,
+    /// Bitset of the columns `runs` cover.
+    covered: Vec<u64>,
+    /// Per basis position not yet eliminated, the physical rows listed
+    /// at its basic column.
+    col_rows: Vec<Vec<usize>>,
+    /// Physical row at each elimination position, and its inverse.
+    perm: Vec<usize>,
+    pos: Vec<usize>,
+    /// Basis position of each column of `A b` (`usize::MAX` if none).
+    bpos: Vec<usize>,
+}
+
+impl Scratch {
+    /// Records the nonzeros of a normalized pivot row, met in column
+    /// order, as runs; a gap of fewer than [`RUN_GAP`] zeros joins two
+    /// runs (its `pval` entries are zero).
+    fn push_nonzero(&mut self, j: usize, v: f64) {
+        match self.runs.last_mut() {
+            Some((_, end)) if j - *end < RUN_GAP => {
+                self.pval[*end..j].fill(0.0);
+                *end = j + 1;
+            }
+            _ => self.runs.push((j, j + 1)),
+        }
+        self.pval[j] = v;
+    }
+
+    /// Sizes the refactorization buffers for `m` rows of width `w`
+    /// (`words` bitset words per row); the zero invariant survives any
+    /// resize.
+    fn prepare(&mut self, m: usize, w: usize, words: usize) {
+        if self.mat.len() < m * w {
+            self.mat.resize(m * w, 0.0);
+        }
+        if self.listed.len() < m * words {
+            self.listed.resize(m * words, 0);
+        }
+        self.covered.clear();
+        self.covered.resize(words, 0);
+        if self.col_rows.len() < m {
+            self.col_rows.resize_with(m, Vec::new);
+        }
+        if self.pval.len() < w {
+            self.pval.resize(w, 0.0);
+        }
+        self.perm.clear();
+        self.perm.extend(0..m);
+        self.pos.clear();
+        self.pos.extend(0..m);
+        self.bpos.clear();
+        self.bpos.resize(w, usize::MAX);
+    }
+
+    /// Restores the between-calls invariant for `m` rows of width `w`.
+    /// With `out`, first writes the row at each elimination position
+    /// `r` into row `r` of `out`.
+    fn clear(&mut self, m: usize, w: usize, words: usize, mut out: Option<&mut [f64]>) {
+        for r in 0..m {
+            let phys = self.perm[r];
+            let mut row_out = out.as_deref_mut().map(|o| {
+                let row = &mut o[r * w..(r + 1) * w];
+                row.fill(0.0);
+                row
+            });
+            for wi in 0..words {
+                let mut bits = std::mem::take(&mut self.listed[phys * words + wi]);
+                while bits != 0 {
+                    let j = wi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if let Some(row) = row_out.as_deref_mut() {
+                        row[j] = self.mat[phys * w + j];
+                    }
+                    self.mat[phys * w + j] = 0.0;
+                }
+            }
+            self.col_rows[r].clear();
+        }
+    }
+}
+
+/// `x[j] -= f · y[j]` over each run `[a, b)` (sorted, clipped to the
+/// length of `x`); returns the number of cells updated. Single-cell
+/// runs, the common case in sparse rows, skip the slice set-up.
+fn sub_runs(x: &mut [f64], f: f64, y: &[f64], runs: &[(usize, usize)]) -> usize {
+    let mut cells = 0;
+    for &(a, b) in runs {
+        let b = b.min(x.len());
+        if b <= a {
+            break;
+        }
+        if b - a == 1 {
+            x[a] -= f * y[a];
+        } else {
+            for (xj, &yj) in x[a..b].iter_mut().zip(&y[a..b]) {
+                *xj -= f * yj;
+            }
+        }
+        cells += b - a;
+    }
+    cells
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 impl Tableau {
-    fn row(&self, i: usize) -> &[f64] {
-        let w = self.cols + 1;
-        &self.data[i * w..(i + 1) * w]
-    }
-
     pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
         self.data[i * (self.cols + 1) + j]
     }
@@ -160,42 +325,65 @@ impl Tableau {
         self.n_artificial > 0
     }
 
-    /// Performs a pivot on `(row, col)`: normalizes the pivot row and
-    /// eliminates `col` from all other rows and the reduced-cost row.
-    pub(crate) fn pivot(&mut self, row: usize, col: usize) {
-        let w = self.cols + 1;
-        let pivot_val = self.at(row, col);
-        debug_assert!(pivot_val.abs() > EPS, "pivot on a numerically zero entry");
-        let inv = 1.0 / pivot_val;
-        for j in 0..w {
-            self.data[row * w + j] *= inv;
-        }
-        // Re-read the normalized pivot row once to avoid aliasing.
-        let pivot_row: Vec<f64> = self.row(row).to_vec();
-        for i in 0..self.m {
-            if i == row {
-                continue;
-            }
-            let factor = self.at(i, col);
-            if factor.abs() <= EPS {
-                continue;
-            }
-            for j in 0..w {
-                self.data[i * w + j] -= factor * pivot_row[j];
-            }
-            self.data[i * w + col] = 0.0; // exact zero by construction
-        }
-        let factor = self.reduced[col];
-        if factor.abs() > EPS {
-            for (j, r) in self.reduced.iter_mut().enumerate() {
-                *r -= factor * pivot_row[j];
-            }
-            self.objective += factor * pivot_row[self.cols];
-            self.reduced[col] = 0.0;
-        }
+    /// Performs a pivot on `(row, col)`: normalizes the pivot row,
+    /// eliminates `col` from all other rows and the reduced-cost row,
+    /// and swaps `col` into the basis.
+    pub(crate) fn pivot(&mut self, row: usize, col: usize, stats: &mut SolveStats) {
+        stats.cells_updated += self.eliminate(row, col);
+        stats.pivots += 1;
+        self.canonical = false;
         self.in_basis[self.basis[row]] = false;
         self.in_basis[col] = true;
         self.basis[row] = col;
+    }
+
+    /// The pivot's arithmetic on the normalized pivot row's nonzero
+    /// runs only (see the module docs). Returns the number of cells
+    /// updated.
+    fn eliminate(&mut self, row: usize, col: usize) -> u64 {
+        #[cfg(test)]
+        if crate::dense_oracle::active() {
+            return self.eliminate_dense(row, col);
+        }
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let w = self.cols + 1;
+            let pivot_val = self.at(row, col);
+            debug_assert!(pivot_val.abs() > EPS, "pivot on a numerically zero entry");
+            let inv = 1.0 / pivot_val;
+            if scratch.pval.len() < w {
+                scratch.pval.resize(w, 0.0);
+            }
+            scratch.runs.clear();
+            for (j, v) in self.data[row * w..(row + 1) * w].iter_mut().enumerate() {
+                *v *= inv;
+                if *v != 0.0 {
+                    scratch.push_nonzero(j, *v);
+                }
+            }
+            let Scratch { runs, pval, .. } = scratch;
+            let mut cells = 0;
+            for i in 0..self.m {
+                if i == row {
+                    continue;
+                }
+                let factor = self.at(i, col);
+                if factor.abs() <= EPS {
+                    continue;
+                }
+                let r = &mut self.data[i * w..(i + 1) * w];
+                cells += sub_runs(r, factor, pval, runs);
+                r[col] = 0.0; // exact zero by construction
+            }
+            let factor = self.reduced[col];
+            if factor.abs() > EPS {
+                // `reduced` has no rhs entry: the clip drops column `cols`.
+                cells += sub_runs(&mut self.reduced, factor, pval, runs);
+                self.objective += factor * self.rhs(row);
+                self.reduced[col] = 0.0;
+            }
+            cells as u64
+        })
     }
 
     /// Recomputes the reduced-cost row and objective for cost vector `c`
@@ -282,65 +470,159 @@ impl Tableau {
 
     /// Rebuilds the tableau from the pristine matrix for the current
     /// basis via Gauss-Jordan with partial pivoting, then re-prices.
-    /// Returns `false` (leaving the tableau untouched) if the basis
-    /// matrix is numerically singular.
-    pub(crate) fn refactor(&mut self, c: &[f64]) -> bool {
-        let m = self.m;
-        let w = self.cols + 1;
-        // Augmented system [B | A b]: width m + w.
-        let aw = m + w;
-        let mut mat = vec![0.0; m * aw];
-        for i in 0..m {
-            for (bpos, &bcol) in self.basis.iter().enumerate() {
-                mat[i * aw + bpos] = self.orig[i * w + bcol];
-            }
-            mat[i * aw + m..i * aw + m + w].copy_from_slice(&self.orig[i * w..(i + 1) * w]);
-        }
-        // Reduce the B block to the identity.
-        for col in 0..m {
-            let mut piv = col;
-            let mut best = mat[col * aw + col].abs();
-            for r in col + 1..m {
-                let v = mat[r * aw + col].abs();
-                if v > best {
-                    best = v;
-                    piv = r;
-                }
-            }
-            if best < 1e-11 {
+    /// A canonical tableau is only re-priced (the rebuild would
+    /// reproduce it bit for bit). Returns `false` (leaving the tableau
+    /// untouched) if the basis matrix is numerically singular.
+    pub(crate) fn refactor(&mut self, c: &[f64], stats: &mut SolveStats) -> bool {
+        if self.canonical {
+            stats.refactor_skips += 1;
+        } else {
+            let Some(cells) = self.gauss_jordan() else {
                 return false;
-            }
-            if piv != col {
-                for j in 0..aw {
-                    mat.swap(col * aw + j, piv * aw + j);
-                }
-            }
-            let inv = 1.0 / mat[col * aw + col];
-            for j in 0..aw {
-                mat[col * aw + j] *= inv;
-            }
-            let pivot_row: Vec<f64> = mat[col * aw..(col + 1) * aw].to_vec();
-            for r in 0..m {
-                if r == col {
-                    continue;
-                }
-                let f = mat[r * aw + col];
-                if f != 0.0 {
-                    for j in 0..aw {
-                        mat[r * aw + j] -= f * pivot_row[j];
-                    }
-                }
-            }
-        }
-        // The B block is now exactly the identity, so row r carries
-        // `e_r` in B-position r: its basic column is still `basis[r]`
-        // (column r of B). Row swaps reordered intermediate states
-        // only; the final correspondence is fixed by the identity.
-        for i in 0..m {
-            self.data[i * w..(i + 1) * w].copy_from_slice(&mat[i * aw + m..(i + 1) * aw]);
+            };
+            stats.cells_updated += cells;
+            stats.refactorizations += 1;
+            self.canonical = true;
         }
         self.reprice(c);
         true
+    }
+
+    /// Overwrites `data` with `B⁻¹ [A b]` computed from `orig`, where
+    /// `B` is the basis matrix, by Gauss-Jordan elimination of the
+    /// augmented system `[B | A b]`. Returns the number of cells
+    /// updated, or `None` (with `data` untouched) if `B` is numerically
+    /// singular.
+    ///
+    /// The textbook dense loop, restricted to what can change a result:
+    ///
+    /// * the `B` block is not stored: its column `p` undergoes exactly
+    ///   the operations of the basic column `basis[p]` inside `A`, so
+    ///   it is read there;
+    /// * partial pivoting on position `col` takes the largest `|B|`
+    ///   entry at positions `col..m`, first such position on ties, and
+    ///   row swaps are a position permutation;
+    /// * each row with a nonzero entry in column `col` of `B` is updated
+    ///   on the runs covering the normalized pivot row's nonzeros;
+    /// * a bitset per row lists every cell that has held a nonzero, so
+    ///   pivot rows are read, and the matrix cleared, cell by listed
+    ///   cell, and each column of `B` knows its possibly nonzero rows.
+    fn gauss_jordan(&mut self) -> Option<u64> {
+        #[cfg(test)]
+        if crate::dense_oracle::active() {
+            return self.gauss_jordan_dense();
+        }
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let (m, w) = (self.m, self.cols + 1);
+            let words = w.div_ceil(64);
+            scratch.prepare(m, w, words);
+            let cells = self.eliminate_basis(scratch, words);
+            // Position r ends up holding `e_r` in the B block, so its
+            // basic column is still `basis[r]`.
+            let out = cells.is_some().then_some(&mut self.data[..]);
+            scratch.clear(m, w, words, out);
+            cells
+        })
+    }
+
+    /// The elimination of [`gauss_jordan`](Self::gauss_jordan) inside
+    /// prepared scratch.
+    fn eliminate_basis(&self, scratch: &mut Scratch, words: usize) -> Option<u64> {
+        let (m, w) = (self.m, self.cols + 1);
+        for (p, &col) in self.basis.iter().enumerate() {
+            scratch.bpos[col] = p;
+        }
+        // Scatter the original rows.
+        for (i, (row, &rhs)) in self.orig.iter().zip(&self.orig_rhs).enumerate() {
+            let rhs = (rhs != 0.0).then_some((self.cols, rhs));
+            for &(j, v) in row.iter().chain(&rhs) {
+                scratch.mat[i * w + j] = v;
+                scratch.listed[i * words + j / 64] |= 1 << (j % 64);
+                if scratch.bpos[j] != usize::MAX {
+                    scratch.col_rows[scratch.bpos[j]].push(i);
+                }
+            }
+        }
+        let mut cells = 0;
+        for col in 0..m {
+            let bcol = self.basis[col];
+            let rows = std::mem::take(&mut scratch.col_rows[col]);
+            let Scratch { mat, perm, pos, .. } = &mut *scratch;
+            let mut piv = col;
+            let mut best = mat[perm[col] * w + bcol].abs();
+            for &r in &rows {
+                let (p, v) = (pos[r], mat[r * w + bcol].abs());
+                if p > col && (v > best || v == best && p < piv) {
+                    best = v;
+                    piv = p;
+                }
+            }
+            if best < 1e-11 {
+                return None;
+            }
+            perm.swap(col, piv);
+            pos[perm[col]] = col;
+            pos[perm[piv]] = piv;
+            let pr = perm[col];
+            let inv = 1.0 / mat[pr * w + bcol];
+            scratch.runs.clear();
+            for wi in 0..words {
+                let mut bits = scratch.listed[pr * words + wi];
+                while bits != 0 {
+                    let j = wi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let v = scratch.mat[pr * w + j] * inv;
+                    scratch.mat[pr * w + j] = v;
+                    if v != 0.0 {
+                        scratch.push_nonzero(j, v);
+                    }
+                }
+            }
+            let Scratch {
+                runs,
+                pval,
+                mat,
+                listed,
+                covered,
+                col_rows,
+                bpos,
+                ..
+            } = &mut *scratch;
+            covered.fill(0);
+            for &(a, b) in runs.iter() {
+                for j in a..b {
+                    covered[j / 64] |= 1 << (j % 64);
+                }
+            }
+            for &r in &rows {
+                let f = mat[r * w + bcol];
+                if r == pr || f == 0.0 {
+                    continue;
+                }
+                // Every cell the update can make nonzero is covered:
+                // list it, and the row under each basic column ahead.
+                for (wi, (bits, &cov)) in listed[r * words..(r + 1) * words]
+                    .iter_mut()
+                    .zip(covered.iter())
+                    .enumerate()
+                {
+                    let mut fill = cov & !*bits;
+                    *bits |= fill;
+                    while fill != 0 {
+                        let j = wi * 64 + fill.trailing_zeros() as usize;
+                        fill &= fill - 1;
+                        if bpos[j] != usize::MAX && bpos[j] > col {
+                            col_rows[bpos[j]].push(r);
+                        }
+                    }
+                }
+                cells += sub_runs(&mut mat[r * w..(r + 1) * w], f, pval, runs) as u64;
+            }
+            // Keep the list's allocation for the next call.
+            scratch.col_rows[col] = rows;
+        }
+        Some(cells)
     }
 
     /// Runs simplex iterations until optimality, unboundedness, or the
@@ -359,8 +641,7 @@ impl Tableau {
         let bland_after = budget / 2;
         for iter in 0..budget {
             if iter > 0 && iter % REFACTOR_EVERY == 0 {
-                self.refactor(c);
-                stats.refactorizations += 1;
+                self.refactor(c, stats);
             }
             if phase1 {
                 stats.phase1_iterations += 1;
@@ -374,8 +655,7 @@ impl Tableau {
             let Some(row) = self.leaving(col, bland) else {
                 return Err(LpError::Unbounded);
             };
-            self.pivot(row, col);
-            stats.pivots += 1;
+            self.pivot(row, col, stats);
         }
         Err(LpError::IterationLimit)
     }
@@ -411,22 +691,21 @@ impl Tableau {
                 }
             }
         }
-        // Widen the row-major stores: existing columns, new columns,
+        // Widen the row-major store: existing columns, new columns,
         // then rhs.
         let mut data = vec![0.0; m * nw];
-        let mut orig = vec![0.0; m * nw];
         for i in 0..m {
             data[i * nw..i * nw + self.cols].copy_from_slice(&self.data[i * w..i * w + self.cols]);
-            orig[i * nw..i * nw + self.cols].copy_from_slice(&self.orig[i * w..i * w + self.cols]);
             for c in 0..b {
                 data[i * nw + self.cols + c] = rep[i * b + c];
-                orig[i * nw + self.cols + c] = new_cols[c][i];
+                if new_cols[c][i] != 0.0 {
+                    self.orig[i].push((self.cols + c, new_cols[c][i]));
+                }
             }
             data[i * nw + nw - 1] = self.data[i * w + w - 1];
-            orig[i * nw + nw - 1] = self.orig[i * w + w - 1];
         }
         self.data = data;
-        self.orig = orig;
+        self.canonical = false;
         self.cols += b;
         self.reduced.resize(self.cols, 0.0);
         self.in_basis.resize(self.cols, false);
@@ -544,10 +823,22 @@ pub(crate) fn assemble(n: usize, constraints: &[Constraint]) -> Assembly {
     for a in is_artificial.iter_mut().skip(first_artificial) {
         *a = true;
     }
+    let orig = data
+        .chunks(w)
+        .map(|row| {
+            let coeffs = &row[..cols];
+            (0..cols)
+                .filter(|&j| coeffs[j] != 0.0)
+                .map(|j| (j, coeffs[j]))
+                .collect()
+        })
+        .collect();
+    let orig_rhs = data.chunks(w).map(|row| row[cols]).collect();
     let t = Tableau {
         m,
         cols,
-        orig: data.clone(),
+        orig,
+        orig_rhs,
         data,
         reduced: vec![0.0; cols],
         objective: 0.0,
@@ -555,6 +846,9 @@ pub(crate) fn assemble(n: usize, constraints: &[Constraint]) -> Assembly {
         in_basis,
         is_artificial,
         n_artificial: cols - first_artificial,
+        // The starting basis matrix is the identity, so refactorizing
+        // it would reproduce `orig` exactly.
+        canonical: true,
     };
     let ref_col: Vec<usize> = rows
         .iter()
@@ -591,8 +885,7 @@ pub(crate) fn run_phase1(t: &mut Tableau, stats: &mut SolveStats) -> Result<(), 
     for i in 0..t.m {
         if t.is_artificial[t.basis[i]] {
             if let Some(j) = (0..t.cols).find(|&j| !t.is_artificial[j] && t.at(i, j).abs() > 1e-7) {
-                t.pivot(i, j);
-                stats.pivots += 1;
+                t.pivot(i, j, stats);
             }
             // Otherwise the row is redundant; the artificial stays
             // basic at value zero and is barred from re-entering.
@@ -608,9 +901,7 @@ pub(crate) fn run_phase2(
     c: &[f64],
     stats: &mut SolveStats,
 ) -> Result<(), LpError> {
-    if t.refactor(c) {
-        stats.refactorizations += 1;
-    } else {
+    if !t.refactor(c, stats) {
         t.reprice(c);
     }
     t.optimize(c, true, stats, false)
@@ -618,7 +909,9 @@ pub(crate) fn run_phase2(
 
 /// Canonicalizes an optimal tableau: refactorizes the final basis so
 /// the reported numbers are a pure function of `(orig, basis, c)` —
-/// independent of the pivot path that reached the basis. If the cleaned
+/// independent of the pivot path that reached the basis. A tableau that
+/// is already canonical (a warm resolve that took no pivot) is only
+/// re-priced, which gives the same bits. If the cleaned
 /// reduced costs re-expose an improving column (round-off was hiding
 /// it), optimization resumes, bounded to a few rounds.
 ///
@@ -630,11 +923,10 @@ pub(crate) fn canonical_finish(
     stats: &mut SolveStats,
 ) -> Result<(), LpError> {
     for _ in 0..5 {
-        if !t.refactor(c) {
+        if !t.refactor(c, stats) {
             // Numerically singular basis: keep the pivoted data.
             return Ok(());
         }
-        stats.refactorizations += 1;
         if t.entering(false, true).is_none() {
             return Ok(());
         }
@@ -683,7 +975,7 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
     result
 }
 
-fn solve_inner(lp: &LinearProgram, stats: &mut SolveStats) -> Result<Solution, LpError> {
+pub(crate) fn solve_inner(lp: &LinearProgram, stats: &mut SolveStats) -> Result<Solution, LpError> {
     let n = lp.n_vars();
     let Assembly {
         mut t,

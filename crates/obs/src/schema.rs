@@ -21,10 +21,12 @@ pub const KNOWN_METRICS: &[&str] = &[
     // roadnet
     "roadnet.dijkstra.runs",
     "roadnet.dijkstra.settled_nodes",
-    // lpsolve (bounded revised simplex + warm-start pool)
+    // lpsolve (two-phase tableau simplex + warm-start engine)
+    "lpsolve.simplex.cells_updated",
     "lpsolve.simplex.phase1_iterations",
     "lpsolve.simplex.phase2_iterations",
     "lpsolve.simplex.pivots",
+    "lpsolve.simplex.refactor_skips",
     "lpsolve.simplex.refactorizations",
     "lpsolve.simplex.solve",
     "lpsolve.simplex.solves",
