@@ -13,12 +13,14 @@
 //!
 //! 1. **Warm** — one submission per `(shard, ε-bucket)` key. Each is a
 //!    cold miss, served from the graph-Laplace fallback while the
-//!    optimal solve runs on the shard's worker; `quiesce()` then waits
-//!    for every solve to land in the cache.
+//!    optimal solve runs on the shard's worker; `quiesce()` after each
+//!    waits for its solve to land in the cache, so solves run one at a
+//!    time and their telemetry series replay in a fixed order.
 //! 2. **Measured** — `--requests` Zipf-skewed submissions at `--rate`
-//!    req/s. Every key is warm, so this is the pure cache-hit path:
-//!    a per-shard table lock, an `Arc` bump, and a mechanism sample on
-//!    the caller thread — no solve queue involved.
+//!    req/s. Every key is warm, so this is the pure cache-hit path: a
+//!    lock on the caller thread's own read stripe, one probe of the
+//!    shard's read view, an LRU stamp and a mechanism sample on the
+//!    caller thread — no shared lock, no refcount, no solve queue.
 //!
 //! CI gates on structure and determinism, **never on wall-clock
 //! speed** (the bench_smoke philosophy): schema validity, same-seed
@@ -99,7 +101,9 @@ fn run_load(rate: f64, requests: usize) -> Value {
 
     // Phase 1 — warm every (shard, ε-bucket) key: one cold submission
     // per key (distinct keys, so nothing coalesces and the enqueue
-    // count is exactly the key count), then wait for the solves.
+    // count is exactly the key count), each followed by a wait for its
+    // solve. One solve at a time keeps the solver series (`cg.*`) in
+    // submission order rather than in the order workers finish.
     let mut warmed = 0u64;
     for (s, locs) in by_shard.iter().enumerate() {
         for &eps in &EPSILONS {
@@ -111,10 +115,10 @@ fn run_load(rate: f64, requests: usize) -> Value {
                 ),
                 other => panic!("cold submission was not served: {other:?}"),
             }
+            svc.quiesce();
             warmed += 1;
         }
     }
-    svc.quiesce();
     svc.tick(); // flush warm-phase stats; push depth/breaker series
     let enqueued_warm = obs.counter(service::metrics::QUEUE_ENQUEUED);
     assert_eq!(

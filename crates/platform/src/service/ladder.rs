@@ -3,10 +3,12 @@
 //! bounded LRU mechanism cache whose displacements feed the stale
 //! store (rung 3), and the vocabulary of cache-miss solve outcomes.
 //!
-//! Everything here is single-threaded state; the serving core wraps it
-//! in per-shard locks (see [`super::core`]).
+//! Everything here is single-threaded state that the serving core wraps
+//! in per-shard locks (see [`super::core`]) — except the LRU recency
+//! stamps, which cache hits write through the shard's read view.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -196,23 +198,110 @@ pub(crate) fn solve_key(epoch: u64, key: (usize, MechKey), attempt: u32) -> u64 
         .wrapping_add(u64::from(attempt))
 }
 
+/// Recency atomics per [`ClockLine`].
+const PER_LINE: usize = 16;
+
+/// 128 bytes of recency atomics: a cache line pair of their own, so
+/// the writes of cache hits never invalidate data other callers read.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct ClockLine([AtomicU64; PER_LINE]);
+
+/// A shard's LRU recency clock: one shard-wide tick, and a stamp per
+/// `(row, cache slot)`. Row 0 is written under the table lock (inserts
+/// and [`LruCache::get`]); row `k ≥ 1` is written only by the holder
+/// of the shard's read stripe `k − 1`. A slot's recency is its largest
+/// stamp over the rows, so a hit writes one shared word — the tick —
+/// and a line no other caller writes. Ticks are unique, so the order
+/// of recency is exactly the order in which touches took their ticks.
+#[derive(Debug)]
+pub(crate) struct LruClock {
+    lines: Box<[ClockLine]>,
+    /// Lines per row; the tick has line 0 to itself.
+    row_lines: usize,
+    rows: usize,
+}
+
+impl LruClock {
+    fn new(slots: usize, rows: usize) -> Self {
+        let row_lines = slots.div_ceil(PER_LINE);
+        let clock = Self {
+            lines: (0..1 + rows * row_lines)
+                .map(|_| ClockLine::default())
+                .collect(),
+            row_lines,
+            rows,
+        };
+        // Stamps start at 0, which must not read as the latest tick.
+        clock.tick().store(1, Ordering::Relaxed);
+        clock
+    }
+
+    fn tick(&self) -> &AtomicU64 {
+        &self.lines[0].0[0]
+    }
+
+    fn cell(&self, row: usize, slot: usize) -> &AtomicU64 {
+        &self.lines[1 + row * self.row_lines + slot / PER_LINE].0[slot % PER_LINE]
+    }
+
+    /// The recency of cache slot `slot`: its latest stamp in any row.
+    fn recency(&self, slot: usize) -> u64 {
+        (0..self.rows)
+            .map(|row| self.cell(row, slot).load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Marks cache slot `slot` as the most recently used, from `row`:
+    /// stamps it with a fresh tick. Skipped when this row took the
+    /// latest tick for this slot — it is already the most recent, and
+    /// a new tick would not change the order — so repeated hits on the
+    /// hottest entry write nothing shared.
+    pub(crate) fn touch(&self, row: usize, slot: usize) {
+        let stamp = self.cell(row, slot);
+        if stamp.load(Ordering::Relaxed) != self.tick().load(Ordering::Relaxed) {
+            stamp.store(
+                self.tick().fetch_add(1, Ordering::Relaxed) + 1,
+                Ordering::Relaxed,
+            );
+        }
+    }
+}
+
 /// A minimal LRU map over `(neighborhood, ε-bucket)` keys (one cache
 /// per shard): recency is a monotonic tick; eviction scans for the
 /// minimum (capacities are small, and the scan is deterministic because
-/// ticks are unique).
+/// ticks are unique). Recency lives in an atomic [`LruClock`] so the
+/// shard's read stripes can touch entries on a cache hit without the
+/// table lock; every other operation runs under it, and an eviction
+/// also holds every stripe, so no touch races the choice of victim.
 #[derive(Debug)]
 pub(crate) struct LruCache {
     capacity: usize,
-    tick: u64,
-    pub(crate) map: HashMap<MechKey, (CachedSolve, u64)>,
+    /// The recency clock, shared with the read view.
+    pub(crate) clock: Arc<LruClock>,
+    /// Each entry with its clock slot.
+    pub(crate) map: HashMap<MechKey, (CachedSolve, usize)>,
+    /// Clock slots no entry holds.
+    free: Vec<usize>,
 }
 
 impl LruCache {
+    /// A cache with no read stripes.
+    #[cfg(test)]
     pub(crate) fn new(capacity: usize) -> Self {
+        Self::striped(capacity, 0)
+    }
+
+    /// A cache whose clock also has a row for each of `stripes` read
+    /// stripes (row `k + 1` for stripe `k`).
+    pub(crate) fn striped(capacity: usize, stripes: usize) -> Self {
         Self {
             capacity,
-            tick: 0,
+            clock: Arc::new(LruClock::new(capacity, 1 + stripes)),
             map: HashMap::new(),
+            free: (0..capacity).rev().collect(),
         }
     }
 
@@ -224,12 +313,10 @@ impl LruCache {
         self.map.len()
     }
 
-    pub(crate) fn get(&mut self, key: MechKey) -> Option<&CachedSolve> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&key).map(|entry| {
-            entry.1 = tick;
-            &entry.0
+    pub(crate) fn get(&self, key: MechKey) -> Option<&CachedSolve> {
+        self.map.get(&key).map(|(entry, slot)| {
+            self.clock.touch(0, *slot);
+            entry
         })
     }
 
@@ -241,20 +328,28 @@ impl LruCache {
         key: MechKey,
         value: CachedSolve,
     ) -> Option<(MechKey, CachedSolve)> {
-        self.tick += 1;
         let mut evicted = None;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(&k, _)| k)
-            {
-                let (entry, _) = self.map.remove(&oldest).expect("oldest key present");
-                evicted = Some((oldest, entry));
+        let slot = match self.map.get(&key) {
+            Some(&(_, slot)) => slot,
+            None => {
+                if self.map.len() >= self.capacity {
+                    let oldest = *self
+                        .map
+                        .iter()
+                        .min_by_key(|(_, &(_, slot))| self.clock.recency(slot))
+                        .expect("a full cache has entries")
+                        .0;
+                    let (entry, slot) = self.map.remove(&oldest).expect("oldest key present");
+                    self.free.push(slot);
+                    evicted = Some((oldest, entry));
+                }
+                self.free.pop().expect("a slot is free")
             }
-        }
-        self.map.insert(key, (value, self.tick));
+        };
+        // A fresh tick exceeds every stamp a previous holder of the
+        // slot left in any row.
+        self.clock.touch(0, slot);
+        self.map.insert(key, (value, slot));
         evicted
     }
 
@@ -265,7 +360,8 @@ impl LruCache {
         keys.sort_unstable();
         keys.into_iter()
             .map(|k| {
-                let (entry, _) = self.map.remove(&k).expect("key listed above");
+                let (entry, slot) = self.map.remove(&k).expect("key listed above");
+                self.free.push(slot);
                 (k, entry)
             })
             .collect()

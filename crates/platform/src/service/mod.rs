@@ -13,11 +13,16 @@
 //!   neighborhood — a dense [`VlpInstance`]), its own routing table,
 //!   its own bounded solve queue, and its own task queue.
 //! * **Caller-path serving** — solved mechanisms are cached per
-//!   `(shard, ε-bucket)` in a per-shard bounded LRU. A cache hit is
-//!   served on the caller path — one short per-shard lock, one `Arc`
-//!   refcount bump — and never enters a solve queue. Requested budgets
-//!   are rounded *down* to the bucket grid, so the cached mechanism is
-//!   always at least as private as requested.
+//!   `(shard, ε-bucket)` in a per-shard bounded LRU. Each shard
+//!   publishes an immutable read view of what it can serve as a hit
+//!   into per-thread *read stripes*; a cache hit locks only the
+//!   calling thread's stripe, probes the view once, stamps LRU recency
+//!   and samples under that guard — no shared lock, no refcount, no
+//!   solve queue. Every change to the cache or the engine republishes
+//!   the view before it returns, so no caller is served a displaced
+//!   mechanism afterwards, and the LRU order stays exact. Requested
+//!   budgets are rounded *down* to the bucket grid, so the cached
+//!   mechanism is always at least as private as requested.
 //! * **Pipelined solving** — cache misses are enqueued onto the
 //!   owning shard's bounded MPSC queue and solved by long-lived
 //!   per-shard worker threads; while the optimum is in flight the
@@ -644,6 +649,13 @@ pub struct ServiceHealth {
 /// logical clock, `quiesce` on in-flight solves, `flush_metrics`. The
 /// handle stays valid after the service shuts down — submissions then
 /// serve only from cached/stale/fallback state and reject cold keys.
+///
+/// Each thread that submits is given a read stripe of every shard at
+/// its first submit and keeps it; threads beyond the stripe count
+/// (twice the available parallelism, from 4 to 64) share stripes
+/// round-robin. Cache hits from different threads therefore contend
+/// on nothing but the shard's LRU tick, which a hit skips when its
+/// entry is already the most recent.
 #[derive(Debug, Clone)]
 pub struct ServiceHandle {
     shared: Arc<CoreShared>,
@@ -672,8 +684,9 @@ impl ServiceHandle {
         self.shared.quiesce()
     }
 
-    /// Publishes accumulated per-shard counters into the `vlp-obs`
-    /// registry without advancing the epoch.
+    /// Publishes accumulated per-shard counters, including the hit
+    /// counts held in the read stripes, into the `vlp-obs` registry
+    /// without advancing the epoch.
     pub fn flush_metrics(&self) {
         self.shared.flush_metrics()
     }
@@ -745,9 +758,10 @@ impl MechanismService {
     }
 
     /// A snapshot of shard `s`'s dense VLP instance in full-shard mode
-    /// (cheap: one refcount bump; prior updates swap the engine
-    /// copy-on-write). Full-shard mode is the ρ = ∞ plan, whose one
-    /// whole-shard neighborhood is served by exactly this instance.
+    /// (cheap: one refcount bump under the shard's table lock; prior
+    /// updates swap the engine copy-on-write). Full-shard mode is the
+    /// ρ = ∞ plan, whose one whole-shard neighborhood is served by
+    /// exactly this instance.
     ///
     /// # Panics
     ///
@@ -998,6 +1012,14 @@ impl MechanismService {
     /// or from a previously built fallback when possible, otherwise
     /// [`Response::Rejected`]. Never blocks on solve work.
     ///
+    /// A hit is served from the calling thread's read stripe of the
+    /// shard: one uncontended lock, one hash probe of the shard's read
+    /// view, an LRU stamp, and the sample, all under that stripe's
+    /// guard. A miss on the view releases the stripe and re-checks the
+    /// cache under the shard's table lock before admission. Hit counts
+    /// reach the `vlp-obs` registry on [`MechanismService::tick`] or
+    /// [`MechanismService::flush_metrics`].
+    ///
     /// Sampling uses the caller's `rng`; each submitting thread owns
     /// its own rng (see [`ServiceHandle`]).
     pub fn submit<R: RngExt + ?Sized>(
@@ -1034,8 +1056,9 @@ impl MechanismService {
         self.core.shared.quiesce()
     }
 
-    /// Publishes accumulated per-shard counters into the `vlp-obs`
-    /// registry without advancing the epoch.
+    /// Publishes accumulated per-shard counters, including the hit
+    /// counts held in the read stripes, into the `vlp-obs` registry
+    /// without advancing the epoch.
     pub fn flush_metrics(&self) {
         self.core.shared.flush_metrics()
     }
@@ -1125,9 +1148,11 @@ impl MechanismService {
             if plan.evaluate(site::SERVICE_EVICT_STORM, batch) {
                 for shard in &shared.shards {
                     let mut t = lock(&shard.table);
-                    for (bucket, entry) in t.cache.drain_all() {
-                        t.demote(stale_capacity, bucket, entry, batch);
-                    }
+                    shard.update(&mut t, |t| {
+                        for (bucket, entry) in t.cache.drain_all() {
+                            t.demote(stale_capacity, bucket, entry, batch);
+                        }
+                    });
                 }
             }
             for s in 0..shared.shards.len() {
@@ -1265,8 +1290,11 @@ impl MechanismService {
         let mut fresh: HashMap<(usize, MechKey), CachedSolve> = HashMap::new();
         let mut failed_keys: HashSet<(usize, MechKey)> = HashSet::new();
         for (key, outcome) in outcomes {
-            let mut t = lock(&shared.shards[key.0].table);
-            match t.settle(key.1, outcome, true, batch, &shared.config) {
+            let shard = &shared.shards[key.0];
+            let mut t = lock(&shard.table);
+            match shard.update(&mut t, |t| {
+                t.settle(key.1, outcome, true, batch, &shared.config)
+            }) {
                 Some(solve) => {
                     if wait_for_solves {
                         in_time.insert(key);
@@ -1545,6 +1573,32 @@ mod tests {
         assert!(cache.contains(key(1)));
         assert!(!cache.contains(key(2)));
         assert!(cache.contains(key(3)));
+    }
+
+    /// A warm open-loop hit is served from the caller's read stripe:
+    /// the shard table counts nothing for it until a flush folds the
+    /// stripes in.
+    #[test]
+    fn open_loop_hits_bypass_the_shard_table() {
+        let svc = service(Duration::ZERO);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let (w, loc, eps) = requests(&svc, 5.0)[0];
+        let (s, _) = svc.partition().to_local(loc).unwrap();
+        let served =
+            |rng: &mut rand::rngs::StdRng| svc.submit(w, loc, eps, rng).served().unwrap().served;
+        assert_eq!(served(&mut rng), Served::Fallback);
+        svc.quiesce();
+        let table = || {
+            let t = lock(&svc.core.shared.shards[s].table);
+            (t.stats.requests, t.stats.hits)
+        };
+        let before = table();
+        for _ in 0..3 {
+            assert_eq!(served(&mut rng), Served::Optimal { cached: true });
+        }
+        assert_eq!(table(), before, "hits never touch the table");
+        svc.core.shared.shards[s].absorb_stripes(&mut lock(&svc.core.shared.shards[s].table));
+        assert_eq!(table(), (before.0 + 3, before.1 + 3));
     }
 
     #[test]
